@@ -32,6 +32,7 @@ import numpy as np
 from .formula import Clause, CnfFormula
 from .logic import (
     build_implication_graph,
+    occurrence_index,
     propagate_closure,
     unit_propagate,
     _lit_key,
@@ -132,12 +133,13 @@ def check_compositionality(f: CnfFormula) -> CompositionalityReport:
                 NON_COMPOSITIONAL, 0, wide_clause_witness(f, cl)
             )
     g = build_implication_graph(f)
+    index = occurrence_index(f)
     seeds: list[frozenset[int]] = [frozenset()]
     for v in range(1, f.variable_count + 1):
         seeds.append(frozenset({v}))
         seeds.append(frozenset({-v}))
     for seed in seeds:
-        gamma = unit_propagate(f, {abs(l): l > 0 for l in seed})
+        gamma = unit_propagate(f, {abs(l): l > 0 for l in seed}, index)
         beta = propagate_closure(g, seed)
         agree = (gamma.conflict is None) == (beta.conflict is None) and (
             gamma.conflict is not None or gamma.forced == beta.forced

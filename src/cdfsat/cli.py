@@ -54,7 +54,13 @@ from .proofs import (
     semantic_cost,
     to_text,
 )
-from .semantics import ENUMERATION_CAP, IntractableError, formula_image, log2_count
+from .semantics import (
+    ENUMERATION_CAP,
+    MAX_ENUMERATION_CAP,
+    IntractableError,
+    formula_image,
+    log2_count,
+)
 
 ENV_CAP = "CDFSAT_CAP"
 ENV_THETA = "CDFSAT_THETA"
@@ -83,6 +89,11 @@ def _resolve_cap(flag: int | None) -> int:
     cap = ENUMERATION_CAP if cap is None else cap
     if cap < 0:
         raise ValueError("enumeration cap must be >= 0")
+    if cap > MAX_ENUMERATION_CAP:
+        raise ValueError(
+            f"enumeration cap must be <= {MAX_ENUMERATION_CAP} "
+            f"(64-bit assignment masks), got {cap}"
+        )
     return cap
 
 
@@ -308,6 +319,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
 
     derivation_json = None
     derivation_steps = None
+    check = None
     if args.derivation is not None:
         data = json.loads(_read_text(args.derivation))
         if not isinstance(data, list):
@@ -352,8 +364,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
             f"({table.row_count} rows)",
             file=sys.stderr,
         )
-        if derivation_steps is not None:
-            check = check_derivation(derivation_steps, goal)
+        if check is not None:
             print(format_derivation(derivation_steps, check), file=sys.stderr)
             status = "valid" if check.valid else f"invalid: {check.reason}"
             print(f"derivation: {status}", file=sys.stderr)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
 from .formula import Assignment, Clause, CnfFormula, satisfies
@@ -211,32 +212,86 @@ def propagate_closure(g: ImplicationGraph, seed: Iterable[int]) -> PropagationCl
     return PropagationClosure(seed_set, frozenset(forced), tuple(steps), conflict)
 
 
-def unit_propagate(f: CnfFormula, assignment: Assignment) -> PropagationClosure:
+@dataclass(frozen=True, eq=False)
+class OccurrenceIndex:
+    """Where each literal occurs in one formula, for event-driven propagation.
+
+    ``occurrences`` maps a literal to the ascending indices of the clauses
+    that contain it; ``units`` lists the indices of the width-1 clauses in
+    ascending order.  An index belongs to the formula it was built from.
+    """
+
+    formula: CnfFormula
+    occurrences: dict[int, list[int]]
+    units: tuple[int, ...]
+
+
+def occurrence_index(f: CnfFormula) -> OccurrenceIndex:
+    """Build the occurrence lists and the unit-clause list of ``f``."""
+    occ: dict[int, list[int]] = {}
+    units: list[int] = []
+    for idx, cl in enumerate(f.clauses):
+        lits = cl.literals
+        if len(lits) == 1:
+            units.append(idx)
+        for lit in lits:
+            occ.setdefault(lit, []).append(idx)
+    return OccurrenceIndex(f, occ, tuple(units))
+
+
+def unit_propagate(
+    f: CnfFormula, assignment: Assignment, index: OccurrenceIndex | None = None
+) -> PropagationClosure:
     """Deterministic clause-level closure of a partial assignment.
 
     Repeatedly: a clause with every literal false except one unassigned
     forces that literal; an original unit clause forces its literal
     unconditionally.  Stops at the first falsified clause (conflict).
-    Clauses are scanned in formula order, so steps are deterministic.
+
+    The result is that of scanning all clauses in formula order, pass after
+    pass, until a pass forces nothing; steps, forced set and conflict are
+    exactly those of that rescan, including the forced set at a conflict,
+    which depends on visit order.  The scan is replayed from ``index``
+    (built from ``f`` when not given; pass one to amortise it over many
+    seeds) instead of being run: a clause can only start to force or
+    conflict once the negation of one of its literals is forced, so each
+    pass visits just the clauses that such an event touched since their
+    last visit, in ascending order.  The first pass starts from the unit
+    clauses and the clauses containing the negation of a seed literal.
+    When clause i forces a literal, the clauses containing its negation
+    join the current pass if their index is above i (a min-heap keeps the
+    pass in formula order) and the next pass otherwise.
     """
     for var in assignment:
         if var < 1 or var > f.variable_count:
             raise ValueError(f"assigned variable {var} outside variable range")
+    if index is None:
+        index = occurrence_index(f)
+    elif index.formula is not f:
+        raise ValueError("occurrence index was built from another formula")
+    occ = index.occurrences
+    clauses = f.clauses
     seed_set = frozenset(v if val else -v for v, val in assignment.items())
     forced: set[int] = set(seed_set)
     order: dict[int, int] = {lit: i for i, lit in enumerate(sorted(seed_set, key=_lit_key))}
     steps: list[PropagationStep] = []
     conflict: int | None = None
-    progress = True
-    while progress and conflict is None:
-        progress = False
-        for cl in f.clauses:
-            if any(lit in forced for lit in cl):
+    later: set[int] = set(index.units)
+    for lit in seed_set:
+        later.update(occ.get(-lit, ()))
+    while later and conflict is None:
+        queue = sorted(later)  # a sorted list is a valid heap
+        queued = later
+        later = set()
+        while queue:
+            i = heappop(queue)
+            cl = clauses[i].literals
+            if not forced.isdisjoint(cl):
                 continue  # satisfied
             unassigned = [lit for lit in cl if -lit not in forced]
             if not unassigned:
                 # falsified: the literal forced most recently is the clash
-                trigger = max(cl.literals, key=lambda l: order[-l])
+                trigger = max(cl, key=lambda l: order[-l])
                 conflict = abs(trigger)
                 break
             if len(unassigned) == 1:
@@ -249,7 +304,12 @@ def unit_propagate(f: CnfFormula, assignment: Assignment) -> PropagationClosure:
                 forced.add(forced_lit)
                 order[forced_lit] = len(order)
                 steps.append(PropagationStep(source, "unit", forced_lit))
-                progress = True
+                for j in occ.get(-forced_lit, ()):
+                    if j < i:
+                        later.add(j)
+                    elif j not in queued:
+                        queued.add(j)
+                        heappush(queue, j)
     return PropagationClosure(seed_set, frozenset(forced), tuple(steps), conflict)
 
 
@@ -451,10 +511,9 @@ class _DpllSearch:
         self.f = f
         self.clauses = [cl.literals for cl in f.clauses]
         self.heuristic = heuristic
-        self.occ: dict[int, list[int]] = {}
-        for idx, lits in enumerate(self.clauses):
-            for lit in lits:
-                self.occ.setdefault(lit, []).append(idx)
+        index = occurrence_index(f)
+        self.occ = index.occurrences
+        self.units = index.units
         self.static_count = {
             v: len(self.occ.get(v, ())) + len(self.occ.get(-v, ()))
             for v in range(1, f.variable_count + 1)
@@ -546,8 +605,8 @@ class _DpllSearch:
 
     def _prime_units(self, tip: TraceNode) -> TraceNode | None:
         """Fire original unit clauses before any decision is made."""
-        for idx, lits in enumerate(self.clauses):
-            if len(lits) == 1 and not self.sat_flag[idx]:
+        for idx in self.units:
+            if not self.sat_flag[idx]:
                 state = self._clause_state(idx)
                 if state == 0:
                     tip.leaf = "UNSAT"

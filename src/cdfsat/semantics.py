@@ -24,6 +24,9 @@ import numpy as np
 from .formula import Assignment, Clause, CnfFormula
 
 ENUMERATION_CAP = 26
+# assignments and clause masks are uint64 bitmasks, and the sweep counts
+# up to 2^n, so n = 63 is the widest formula the sweep can represent
+MAX_ENUMERATION_CAP = 63
 MATERIALIZATION_CAP = 20
 
 ENUMERATED = "enumerated"

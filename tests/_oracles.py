@@ -111,6 +111,49 @@ def naive_unit_closure(clause_lists, seed_literals) -> tuple[set[int], bool]:
     return forced, conflict
 
 
+def rescan_unit_propagate(clause_lists, seed_literals):
+    """Clause-level propagation by full formula-order rescans.
+
+    The reference for the package's step order: every pass scans all
+    clauses in order, a clause with one unassigned literal left forces it,
+    passes repeat until one forces nothing, and the first falsified clause
+    ends the run.
+    Returns ``(forced, steps, conflict)``: the forced literal set, the steps
+    as ``(source, literal)`` pairs in firing order (the source of an
+    original unit clause is its own literal, otherwise the negation of the
+    clause's most recently forced false literal) and the conflict variable,
+    None without a conflict.
+    """
+    seed = set(seed_literals)
+    forced = set(seed)
+    canonical = sorted(seed, key=lambda lit: (abs(lit), lit < 0))
+    order = {lit: i for i, lit in enumerate(canonical)}
+    steps = []
+    conflict = None
+    progress = True
+    while progress and conflict is None:
+        progress = False
+        for cl in clause_lists:
+            if any(lit in forced for lit in cl):
+                continue
+            unassigned = [lit for lit in cl if -lit not in forced]
+            if not unassigned:
+                conflict = abs(max(cl, key=lambda lit: order[-lit]))
+                break
+            if len(unassigned) == 1:
+                forced_lit = unassigned[0]
+                false_lits = [lit for lit in cl if lit != forced_lit]
+                if false_lits:
+                    source = -max(false_lits, key=lambda lit: order[-lit])
+                else:
+                    source = forced_lit
+                forced.add(forced_lit)
+                order[forced_lit] = len(order)
+                steps.append((source, forced_lit))
+                progress = True
+    return forced, steps, conflict
+
+
 def naive_reachable(pairs, seed_literals) -> set[int]:
     """Transitive closure of the seed over directed implication pairs."""
     forced = set(seed_literals)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -105,6 +106,16 @@ class TestCompositionality:
         w = wide_clause_witness(formula([list(cl.literals)], 4), cl)
         # all but the last two literals are made false
         assert w.assignment == {-1, 2}
+
+    def test_long_pairs_formula_within_budget(self):
+        # 1500 independent clauses, 6001 seeds: each seed touches one clause
+        f = formula([[-i, -(i + 1)] for i in range(1, 3000, 2)], 3000)
+        start = time.monotonic()
+        rep = check_compositionality(f)
+        elapsed = time.monotonic() - start
+        assert rep.status == COMPOSITIONAL
+        assert rep.checked_seeds == 6001
+        assert elapsed < 3.0, f"budget exceeded: {elapsed:.2f}s >= 3.0s"
 
     def test_report_guard(self):
         with pytest.raises(ValueError):

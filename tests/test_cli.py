@@ -146,6 +146,27 @@ class TestConfigPrecedence:
         assert proc.returncode == 1
         assert "CDFSAT_CAP" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "cap_args, env",
+        [(("--cap", "70"), None), ((), {"CDFSAT_CAP": "70"})],
+        ids=["flag", "env"],
+    )
+    def test_cap_above_mask_width_is_usage_error(self, tmp_path, cap_args, env):
+        path = tmp_path / "seventy.cnf"
+        path.write_text("p cnf 70 3\n1 70 0\n1 -70 0\n2 3 0\n")
+        proc = run_cli("analyze", str(path), *cap_args, env_extra=env)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("cdfsat: error: enumeration cap must be <= 63")
+        assert "Traceback" not in proc.stderr
+
+    def test_cap_at_mask_width_accepted(self, tmp_path):
+        path = tmp_path / "seventy.cnf"
+        path.write_text("p cnf 70 3\n1 70 0\n1 -70 0\n2 3 0\n")
+        proc = run_cli("analyze", str(path), "--quiet", "--cap", "63")
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["semantics"]["cap"] == 63
+
     def test_config_recorded_in_provenance(self, chain_file):
         proc = run_cli(
             "analyze", chain_file, "--quiet", "--theta", "0.25",

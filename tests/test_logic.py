@@ -14,6 +14,7 @@ from cdfsat.logic import (
     dpll_solve,
     implication_graph_to_dot,
     lit_text,
+    occurrence_index,
     propagate_closure,
     solve_2sat,
     trace_to_dot,
@@ -25,6 +26,7 @@ from _oracles import (
     is_satisfiable,
     naive_reachable,
     naive_unit_closure,
+    rescan_unit_propagate,
 )
 
 
@@ -48,6 +50,23 @@ def random_3cnf(max_n=7, max_m=16):
         return generate_random_ksat(n, m, 3, seed=seed)
 
     return build()
+
+
+def signed_literals(n, min_size, max_size):
+    """Literals over distinct variables of 1..n, each with a drawn polarity."""
+    variables = st.lists(st.integers(1, n), min_size=min_size, max_size=max_size, unique=True)
+    return variables.flatmap(
+        lambda vs: st.tuples(*(st.sampled_from((v, -v)) for v in vs)).map(list)
+    )
+
+
+@st.composite
+def mixed_cnf_and_seed(draw):
+    """Clauses of widths 1-4 (unit clauses included) and a 0-3 literal seed."""
+    n = draw(st.integers(1, 7))
+    clause_lists = draw(st.lists(signed_literals(n, 1, min(4, n)), max_size=12))
+    seed = draw(signed_literals(n, 0, min(3, n)))
+    return formula(clause_lists, n), clause_lists, seed
 
 
 class TestImplications:
@@ -191,6 +210,36 @@ class TestUnitPropagate:
             assert (got.conflict is not None) == want_conflict
             if not want_conflict:
                 assert got.forced == want_forced
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_cnf_and_seed(), st.booleans())
+    def test_matches_rescan_oracle(self, case, shared_index):
+        f, clause_lists, seed = case
+        index = occurrence_index(f) if shared_index else None
+        got = unit_propagate(f, {abs(l): l > 0 for l in seed}, index)
+        want_forced, want_steps, want_conflict = rescan_unit_propagate(clause_lists, seed)
+        assert got.seed == frozenset(seed)
+        assert got.forced == want_forced
+        assert [(s.source, s.literal) for s in got.steps] == want_steps
+        assert got.conflict == want_conflict
+
+    def test_conflict_keeps_rescan_forced_set(self):
+        # the forced set at a conflict depends on visit order: with the
+        # clashing clause first, pass one still forces x4 and pass two finds
+        # the clash; with it third, the clash ends pass one before x4
+        f = formula([[-2, -3], [-1, 2], [-1, 3], [-1, 4]], 4)
+        got = unit_propagate(f, {1: True}, occurrence_index(f))
+        assert got.conflict == 3
+        assert got.forced == {1, 2, 3, 4}
+        f = formula([[-1, 2], [-1, 3], [-2, -3], [-1, 4]], 4)
+        got = unit_propagate(f, {1: True}, occurrence_index(f))
+        assert got.conflict == 3
+        assert got.forced == {1, 2, 3}
+
+    def test_index_of_another_formula_rejected(self):
+        f = formula([[-1, 2]], 2)
+        with pytest.raises(ValueError):
+            unit_propagate(f, {1: True}, occurrence_index(formula([[-1, 2]], 2)))
 
     def test_json_shape(self):
         got = unit_propagate(formula([[1]], 1), {})
