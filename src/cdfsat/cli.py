@@ -56,8 +56,8 @@ from .proofs import (
 )
 from .semantics import (
     ENUMERATION_CAP,
-    MAX_ENUMERATION_CAP,
     IntractableError,
+    check_enumeration_cap,
     formula_image,
     log2_count,
 )
@@ -86,15 +86,9 @@ def _env_value(name: str, convert: Callable, what: str):
 
 def _resolve_cap(flag: int | None) -> int:
     cap = flag if flag is not None else _env_value(ENV_CAP, int, "an integer")
-    cap = ENUMERATION_CAP if cap is None else cap
-    if cap < 0:
-        raise ValueError("enumeration cap must be >= 0")
-    if cap > MAX_ENUMERATION_CAP:
-        raise ValueError(
-            f"enumeration cap must be <= {MAX_ENUMERATION_CAP} "
-            f"(64-bit assignment masks), got {cap}"
-        )
-    return cap
+    # checked up front, so a bad cap is a usage error (exit 1) even in
+    # growth, which reports a ValueError from measure_growth as exit 2
+    return check_enumeration_cap(ENUMERATION_CAP if cap is None else cap)
 
 
 def _resolve_theta(flag: float | None) -> float:
@@ -164,8 +158,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         }
 
     logic: dict = {"dpll": trace.to_json_dict()}
-    # the trace tree is replayable but bulky; analyze keeps the counters only
-    del logic["dpll"]["root"]
     if f.max_width <= 2:
         logic["twoSat"] = solve_2sat(f).to_json_dict()
     else:

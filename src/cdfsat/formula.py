@@ -173,10 +173,12 @@ def parse_dimacs(text: str) -> CnfFormula:
 
     Recognized lines: ``c`` comments, one ``p cnf <vars> <clauses>`` header,
     then whitespace-separated literal tokens with ``0`` terminating each
-    clause (clauses may span lines).  A header clause count that disagrees
-    with the actual number of clauses is a warning, not an error; a literal
-    referencing a variable beyond the header count is an error; a
-    tautological clause is an error naming the clause ordinal.
+    clause (clauses may span lines).  A line starting with ``%`` ends the
+    clause data and the rest of the text is ignored, which accepts the
+    ``%`` / ``0`` trailer of SATLIB benchmark files.  A header clause count
+    that disagrees with the actual number of clauses is a warning, not an
+    error; a literal referencing a variable beyond the header count is an
+    error; a tautological clause is an error naming the clause ordinal.
     """
     var_count: int | None = None
     clause_total: int | None = None
@@ -188,6 +190,8 @@ def parse_dimacs(text: str) -> CnfFormula:
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
+        if line.startswith("%"):
+            break
         if line.startswith("p"):
             if var_count is not None:
                 raise DimacsParseError("duplicate header", lineno)

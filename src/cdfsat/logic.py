@@ -23,12 +23,15 @@ form and is recorded the way the search actually justifies it, as a
 refutation pair: a conflict leaf for the excluded value followed by the
 forced branch.  That is what makes backtrack counters an observable
 difference between narrow and wide formulas instead of an informal claim.
+The trace is a tree stored flat, as parallel per-node lists (parent, kind,
+variable, value, leaf) in depth-first preorder, so counting, measuring and
+rendering it are loops with no recursion, however deep the search went.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
@@ -417,34 +420,18 @@ HEURISTICS = ("lowest-index", "most-occurrences")
 
 
 @dataclass
-class TraceNode:
-    """One assignment event in the search tree.
-
-    kind is "root" for the start marker, "decision" for a heuristic choice,
-    "propagation" for a forcing through a width-<=2 clause, "refutation" for
-    the probed-and-excluded value of a width->=3 forcing.  leaf marks the
-    node as a SAT or UNSAT endpoint of its branch.
-    """
-
-    kind: str
-    variable: int | None
-    value: bool | None
-    leaf: str | None = None
-    children: list["TraceNode"] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "variable": self.variable,
-            "value": self.value,
-            "leaf": self.leaf,
-            "children": [c.to_json_dict() for c in self.children],
-        }
-
-
-@dataclass
 class DerivationTrace:
     """Search tree of one dpll_solve run plus its effort counters.
+
+    The tree is stored as five parallel lists indexed by node id.  Node 0
+    is the root, and nodes are numbered in creation order, which is
+    depth-first preorder, so every parent precedes its children
+    (``parents[i] < i``; the root's parent is -1).  ``kinds`` holds "root"
+    for the start marker, "decision" for a heuristic choice,
+    "propagation" for a forcing and "refutation" for the probed-and-excluded
+    value of a width->=3 forcing; ``variables`` and ``values`` give the
+    assignment a node makes (None at the root); ``leaves`` marks a node as
+    a "SAT" or "UNSAT" endpoint of its branch, or None.
 
     branch_count counts branch points explored both ways: decisions whose
     second value was tried, and refutation pairs (the excluded value *is*
@@ -453,7 +440,11 @@ class DerivationTrace:
     run), so branch_count >= backtrack_count always holds.
     """
 
-    root: TraceNode
+    parents: list[int]
+    kinds: list[str]
+    variables: list[int | None]
+    values: list[bool | None]
+    leaves: list[str | None]
     result: SolveResult
     heuristic: str
     branch_count: int
@@ -461,33 +452,17 @@ class DerivationTrace:
     free_variables: tuple[int, ...]
 
     def node_count(self) -> int:
-        count = 0
-        todo = [self.root]
-        while todo:
-            node = todo.pop()
-            count += 1
-            todo.extend(node.children)
-        return count
+        return len(self.parents)
 
     def depth(self) -> int:
         """Longest root-to-leaf path, in edges."""
-        best = 0
-        todo = [(self.root, 0)]
-        while todo:
-            node, d = todo.pop()
-            best = max(best, d)
-            todo.extend((c, d + 1) for c in node.children)
-        return best
+        depths = [0] * len(self.parents)
+        for i in range(1, len(self.parents)):
+            depths[i] = depths[self.parents[i]] + 1
+        return max(depths)
 
     def conflict_count(self) -> int:
-        count = 0
-        todo = [self.root]
-        while todo:
-            node = todo.pop()
-            if node.leaf == "UNSAT":
-                count += 1
-            todo.extend(node.children)
-        return count
+        return self.leaves.count("UNSAT")
 
     def to_json_dict(self) -> dict:
         out = self.result.to_json_dict()
@@ -500,7 +475,6 @@ class DerivationTrace:
                 "freeVariables": list(self.free_variables),
                 "nodeCount": self.node_count(),
                 "depth": self.depth(),
-                "root": self.root.to_json_dict(),
             }
         )
         return out
@@ -528,8 +502,23 @@ class _DpllSearch:
         self.conflict_seen = 0
         self.model: Assignment | None = None
         self.free: tuple[int, ...] = ()
+        # the trace, node 0 being the root (see DerivationTrace)
+        self.parents: list[int] = [-1]
+        self.kinds: list[str] = ["root"]
+        self.variables: list[int | None] = [None]
+        self.values: list[bool | None] = [None]
+        self.leaves: list[str | None] = [None]
 
     # -- state updates ------------------------------------------------
+
+    def _node(self, parent: int, kind: str, lit: int) -> int:
+        """Append a trace node assigning ``lit``; returns its id."""
+        self.parents.append(parent)
+        self.kinds.append(kind)
+        self.variables.append(abs(lit))
+        self.values.append(lit > 0)
+        self.leaves.append(None)
+        return len(self.parents) - 1
 
     def _set_literal(self, lit: int) -> None:
         var = abs(lit)
@@ -549,9 +538,11 @@ class _DpllSearch:
             self.sat_flag[self.sat_trail.pop()] = False
             self.sat_count -= 1
 
-    def _note_conflict(self) -> None:
+    def _note_conflict(self, tip: int) -> None:
+        """Mark node ``tip`` as an UNSAT leaf and count the conflict."""
         # a retreat follows unless this conflict ends the whole search;
         # the final tally fixes up the UNSAT case
+        self.leaves[tip] = "UNSAT"
         self.conflict_seen += 1
 
     # -- propagation ----------------------------------------------------
@@ -569,19 +560,15 @@ class _DpllSearch:
                 return None  # satisfied (flag may lag behind seeds)
         return 0 if single is None else single
 
-    def _force(self, lit: int, wide: bool, tip: TraceNode) -> TraceNode:
+    def _force(self, lit: int, wide: bool, tip: int) -> int:
         if wide:
             # no implication form: the excluded value is probed and refuted
-            probe = TraceNode("refutation", abs(lit), not (lit > 0), leaf="UNSAT")
-            tip.children.append(probe)
-            self._note_conflict()
+            self._note_conflict(self._node(tip, "refutation", -lit))
             self.branch_count += 1
-        node = TraceNode("propagation", abs(lit), lit > 0)
-        tip.children.append(node)
         self._set_literal(lit)
-        return node
+        return self._node(tip, "propagation", lit)
 
-    def _propagate(self, tip: TraceNode) -> TraceNode | None:
+    def _propagate(self, tip: int) -> int | None:
         """Drain the unit-propagation queue, growing the trace chain at tip.
 
         Returns the new chain tip, or None on conflict (with the dead node
@@ -596,21 +583,19 @@ class _DpllSearch:
                 if state is None:
                     continue
                 if state == 0:
-                    tip.leaf = "UNSAT"
-                    self._note_conflict()
+                    self._note_conflict(tip)
                     self.pending.clear()
                     return None
                 tip = self._force(state, len(self.clauses[idx]) >= 3, tip)
         return tip
 
-    def _prime_units(self, tip: TraceNode) -> TraceNode | None:
+    def _prime_units(self, tip: int) -> int | None:
         """Fire original unit clauses before any decision is made."""
         for idx in self.units:
             if not self.sat_flag[idx]:
                 state = self._clause_state(idx)
                 if state == 0:
-                    tip.leaf = "UNSAT"
-                    self._note_conflict()
+                    self._note_conflict(tip)
                     self.pending.clear()
                     return None
                 if state is not None:
@@ -635,14 +620,14 @@ class _DpllSearch:
             return max(candidates, key=lambda v: (self.static_count[v], -v))
         return min(candidates)
 
-    def _mark_sat(self, tip: TraceNode) -> None:
-        tip.leaf = "SAT"
+    def _mark_sat(self, tip: int) -> None:
+        self.leaves[tip] = "SAT"
         self.model = dict(self.assign)
         self.free = tuple(
             v for v in range(1, self.f.variable_count + 1) if v not in self.assign
         )
 
-    def _search(self, tip: TraceNode) -> bool:
+    def _search(self, tip: int) -> bool:
         mark_assign, mark_sat = len(self.trail), len(self.sat_trail)
         new_tip = self._propagate(tip)
         if new_tip is None:
@@ -656,10 +641,10 @@ class _DpllSearch:
         for value in (True, False):
             if value is False:
                 self.branch_count += 1
-            child = TraceNode("decision", var, value)
-            tip.children.append(child)
+            lit = var if value else -var
+            child = self._node(tip, "decision", lit)
             child_assign, child_sat = len(self.trail), len(self.sat_trail)
-            self._set_literal(var if value else -var)
+            self._set_literal(lit)
             if self._search(child):
                 return True
             self._undo_to(child_assign, child_sat)
@@ -667,8 +652,7 @@ class _DpllSearch:
         return False
 
     def run(self) -> tuple[SolveResult, DerivationTrace]:
-        root = TraceNode("root", None, None)
-        tip = self._prime_units(root)
+        tip = self._prime_units(0)
         sat = False
         if tip is not None:
             if self.sat_count == len(self.clauses):
@@ -688,7 +672,11 @@ class _DpllSearch:
             # the final conflict ends the run, so it is not a retreat
             backtracks = max(0, self.conflict_seen - 1)
         trace = DerivationTrace(
-            root=root,
+            parents=self.parents,
+            kinds=self.kinds,
+            variables=self.variables,
+            values=self.values,
+            leaves=self.leaves,
             result=result,
             heuristic=self.heuristic,
             branch_count=self.branch_count,
@@ -738,36 +726,22 @@ def trace_to_dot(trace: DerivationTrace) -> str:
     """Graphviz text for a derivation trace.
 
     Decision nodes are double-circled, UNSAT leaves are filled, and node ids
-    follow depth-first preorder, so the output is deterministic.
+    are the trace's own (depth-first preorder), so the output is
+    deterministic.
     """
     lines = ["digraph derivation_trace {", "  rankdir=TB;"]
-    edges: list[tuple[int, int]] = []
-    counter = 0
-
-    def visit(node: TraceNode, parent: int | None) -> None:
-        nonlocal counter
-        me = counter
-        counter += 1
-        if node.kind == "root":
-            label = "Start"
-        else:
-            assert node.variable is not None
-            label = f"x{node.variable}={'true' if node.value else 'false'}"
-        if node.leaf is not None:
-            label += f" ({node.leaf})"
+    nodes = zip(trace.kinds, trace.variables, trace.values, trace.leaves)
+    for i, (kind, variable, value, leaf) in enumerate(nodes):
+        label = "Start" if kind == "root" else f"x{variable}={'true' if value else 'false'}"
+        if leaf is not None:
+            label += f" ({leaf})"
         attrs = [f'label="{label}"']
-        if node.kind == "decision":
+        if kind == "decision":
             attrs.append("shape=doublecircle")
-        if node.leaf == "UNSAT":
+        if leaf == "UNSAT":
             attrs.append("style=filled")
-        lines.append(f"  n{me} [{', '.join(attrs)}];")
-        if parent is not None:
-            edges.append((parent, me))
-        for child in node.children:
-            visit(child, me)
-
-    visit(trace.root, None)
-    for u, v in edges:
-        lines.append(f"  n{u} -> n{v};")
+        lines.append(f"  n{i} [{', '.join(attrs)}];")
+    for i in range(1, len(trace.parents)):
+        lines.append(f"  n{trace.parents[i]} -> n{i};")
     lines.append("}")
     return "\n".join(lines) + "\n"

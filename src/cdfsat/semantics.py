@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -31,6 +30,18 @@ MATERIALIZATION_CAP = 20
 
 ENUMERATED = "enumerated"
 COUNT_ONLY = "count-only"
+
+
+def check_enumeration_cap(cap: int) -> int:
+    """Return ``cap`` if it lies in 0..MAX_ENUMERATION_CAP, else ValueError."""
+    if cap < 0:
+        raise ValueError("enumeration cap must be >= 0")
+    if cap > MAX_ENUMERATION_CAP:
+        raise ValueError(
+            f"enumeration cap must be <= {MAX_ENUMERATION_CAP} "
+            f"(64-bit assignment masks), got {cap}"
+        )
+    return cap
 
 
 class IntractableError(Exception):
@@ -71,12 +82,6 @@ class SemanticImage:
         k = len(self.scope)
         return {v: bool((mask >> (k - 1 - j)) & 1) for j, v in enumerate(self.scope)}
 
-    def iter_assignments(self) -> Iterator[Assignment]:
-        if self.assignments is None:
-            raise ValueError("image is count-only; no materialized assignments")
-        for i in range(self.count):
-            yield self.assignment_at(i)
-
     def to_text(self) -> str:
         """Canonical listing: one 0/1 row per assignment, scope in index order."""
         if self.assignments is None:
@@ -94,13 +99,6 @@ class SemanticImage:
             k = len(self.scope)
             out["assignments"] = [format(m, f"0{k}b") for m in self.assignments]
         return out
-
-
-def truth_table_size(n: int) -> int:
-    """Number of total assignments over n variables: 2^n."""
-    if n < 0:
-        raise ValueError("variable count must be >= 0")
-    return 1 << n
 
 
 def clauses_variable_disjoint(f: CnfFormula) -> bool:
@@ -204,8 +202,10 @@ def formula_image(
     Routes, in order: exhaustive enumeration with materialized assignments
     when n fits both caps; the closed-form disjoint product when clause
     variable sets are pairwise disjoint (any n); count-only enumeration up
-    to ``enumeration_cap``.  Beyond that, IntractableError.
+    to ``enumeration_cap``.  Beyond that, IntractableError.  A cap outside
+    0..MAX_ENUMERATION_CAP raises ValueError.
     """
+    check_enumeration_cap(enumeration_cap)
     n = f.variable_count
     scope = tuple(range(1, n + 1))
     bound = disjoint_lower_bound(f)

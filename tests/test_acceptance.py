@@ -245,17 +245,14 @@ def test_criterion_07_worked_examples():
 
         assert classify(WIDE).verdict == "ExpCDF"
         _, wide_trace = dpll_solve(WIDE)
-        unsat_paths = []
-
-        def walk(node, path):
-            if node.variable is not None:
-                path = {**path, node.variable: node.value}
-            if node.leaf == "UNSAT":
-                unsat_paths.append(path)
-            for child in node.children:
-                walk(child, path)
-
-        walk(wide_trace.root, {})
+        # node i's path extends its parent's; parents precede children
+        paths: list[dict] = [{}]
+        for i in range(1, wide_trace.node_count()):
+            parent = paths[wide_trace.parents[i]]
+            paths.append({**parent, wide_trace.variables[i]: wide_trace.values[i]})
+        unsat_paths = [
+            path for path, leaf in zip(paths, wide_trace.leaves) if leaf == "UNSAT"
+        ]
         assert unsat_paths == [{1: True, 2: True, 3: False}]
     print(f"criterion 7 PASS: worked examples reproduce ({b.elapsed:.2f}s)")
 

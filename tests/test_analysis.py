@@ -204,6 +204,11 @@ class TestMeasureGrowth:
         fit = measure_growth(family, [4, 5, 6, 8], enumeration_cap=6)
         assert fit.failed_n == (8,)
 
+    def test_cap_outside_mask_width_rejected(self):
+        family = lambda n: formula([[1, n], [1, -n], [2, 3]], n)
+        with pytest.raises(ValueError, match="enumeration cap"):
+            measure_growth(family, [68, 69, 70], enumeration_cap=70)
+
     def test_all_failures_raise(self):
         family = lambda n: formula([[1], [-1]], n)
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -112,6 +113,11 @@ class TestAnalyze:
         path.write_text("p cnf 2 1\n1 x 0\n")
         proc = run_cli("analyze", str(path))
         assert proc.returncode == 1
+
+    def test_satlib_trailer_accepted(self):
+        proc = run_cli("analyze", "-", "--quiet", stdin_text="p cnf 3 1\n1 -2 3 0\n%\n0\n")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["formula"]["clauseCount"] == 1
 
 
 class TestConfigPrecedence:
@@ -351,6 +357,22 @@ class TestExportDot:
         proc = run_cli("export-dot", "trace", wide_file)
         assert proc.returncode == 0
         assert "UNSAT" in proc.stdout
+
+    def test_deep_chain_within_budget(self):
+        # [[1]] + [[-i, i+1]]: a 3000-deep propagation chain, deeper than
+        # Python's default recursion limit
+        n = 3000
+        text = f"p cnf {n} {n}\n1 0\n" + "".join(f"-{i} {i + 1} 0\n" for i in range(1, n))
+        start = time.monotonic()
+        analyze = run_cli("analyze", "-", "--quiet", stdin_text=text)
+        dot = run_cli("export-dot", "trace", "-", stdin_text=text)
+        elapsed = time.monotonic() - start
+        # counting 3000 overlapping variables is past the cap: partial result
+        assert analyze.returncode == 2, analyze.stderr
+        assert json.loads(analyze.stdout)["logic"]["dpll"]["depth"] == n
+        assert dot.returncode == 0, dot.stderr
+        assert dot.stdout.count(" [label=") == n + 1
+        assert elapsed < 5.0, f"budget exceeded: {elapsed:.2f}s >= 5.0s"
 
     def test_wide_clause_has_no_implication_graph(self, wide_file):
         proc = run_cli("export-dot", "implication-graph", wide_file)

@@ -126,6 +126,10 @@ class TestDimacs:
         with pytest.raises(DimacsParseError):
             parse_dimacs("p cnf 2 1\n1 2\n")
 
+    def test_satlib_trailer_ends_clause_data(self):
+        f = parse_dimacs("p cnf 3 1\n1 -2 3 0\n%\n0\n")
+        assert [cl.literals for cl in f.clauses] == [(1, -2, 3)]
+
     def test_write_round_trip(self, data_dir):
         text = (data_dir / "implication_chain.cnf").read_text()
         f = parse_dimacs(text)

@@ -308,15 +308,9 @@ class TestDpll:
         assert tr.branch_count == 0
         assert tr.conflict_count() == 0
         # linear chain: decision on x, then propagation of y and z
-        assert tr.root.children[0].kind == "decision"
-        node = tr.root.children[0]
-        seen = [node]
-        while node.children:
-            assert len(node.children) == 1
-            node = node.children[0]
-            seen.append(node)
-        assert [n.kind for n in seen] == ["decision", "propagation", "propagation"]
-        assert seen[-1].leaf == "SAT"
+        assert tr.parents == [-1, 0, 1, 2]
+        assert tr.kinds == ["root", "decision", "propagation", "propagation"]
+        assert tr.leaves[-1] == "SAT"
 
     def test_wide_example_single_refutation_leaf(self):
         f = formula([[-1, -2, 3]], 3)
@@ -326,15 +320,14 @@ class TestDpll:
         assert tr.branch_count == 1
         assert tr.backtrack_count == 1
         # the only UNSAT leaf sits at x=T, y=T, z=F
-        x = tr.root.children[0]
-        y = x.children[0]
-        refutation, forced = y.children
-        assert (x.variable, x.value, x.kind) == (1, True, "decision")
-        assert (y.variable, y.value, y.kind) == (2, True, "decision")
-        assert (refutation.variable, refutation.value) == (3, False)
-        assert refutation.kind == "refutation"
-        assert refutation.leaf == "UNSAT"
-        assert (forced.variable, forced.value, forced.leaf) == (3, True, "SAT")
+        x, y, refutation, forced = 1, 2, 3, 4
+        assert tr.parents == [-1, 0, x, y, y]
+        assert (tr.variables[x], tr.values[x], tr.kinds[x]) == (1, True, "decision")
+        assert (tr.variables[y], tr.values[y], tr.kinds[y]) == (2, True, "decision")
+        assert (tr.variables[refutation], tr.values[refutation]) == (3, False)
+        assert tr.kinds[refutation] == "refutation"
+        assert tr.leaves[refutation] == "UNSAT"
+        assert (tr.variables[forced], tr.values[forced], tr.leaves[forced]) == (3, True, "SAT")
 
     def test_unit_contradiction(self):
         res, tr = dpll_solve(formula([[1], [-1]], 1))
@@ -366,10 +359,10 @@ class TestDpll:
         # x3 occurs in three clauses, x1 in one
         f = formula([[1, 3], [2, 3], [-3, 2], [4, 2]], 4)
         _, tr = dpll_solve(f, heuristic="most-occurrences")
-        first = tr.root.children[0]
-        assert first.kind == "decision"
-        assert first.variable in (2, 3)  # both occur three times; tie -> lowest
-        assert first.variable == 2
+        first = tr.parents.index(0)  # the root's first child
+        assert tr.kinds[first] == "decision"
+        assert tr.variables[first] in (2, 3)  # both occur three times; tie -> lowest
+        assert tr.variables[first] == 2
 
     @settings(max_examples=100, deadline=None)
     @given(random_3cnf(), st.sampled_from(HEURISTICS))
@@ -385,6 +378,49 @@ class TestDpll:
         else:
             assert tr.backtrack_count == max(0, tr.conflict_count() - 1)
 
+    @settings(max_examples=100, deadline=None)
+    @given(random_3cnf(), st.sampled_from(HEURISTICS))
+    def test_flat_trace_is_a_preorder_tree(self, f, heuristic):
+        res, tr = dpll_solve(f, heuristic=heuristic)
+        n = tr.node_count()
+        assert tr.parents[0] == -1 and tr.kinds[0] == "root"
+        assert all(tr.parents[i] < i for i in range(1, n))
+        # preorder: each node hangs off the path from the root to its predecessor
+        path_nodes = [0]
+        for i in range(1, n):
+            while path_nodes and path_nodes[-1] != tr.parents[i]:
+                path_nodes.pop()
+            assert path_nodes, f"node {i} breaks depth-first preorder"
+            path_nodes.append(i)
+        assert len(tr.kinds) == len(tr.variables) == len(tr.values) == len(tr.leaves) == n
+        sat_leaves = [i for i, leaf in enumerate(tr.leaves) if leaf == "SAT"]
+        assert len(sat_leaves) == (1 if res.satisfiable else 0)
+        if res.satisfiable:
+            path: dict[int, bool] = {}
+            node = sat_leaves[0]
+            while node > 0:
+                path[tr.variables[node]] = tr.values[node]
+                node = tr.parents[node]
+            assert path == res.model
+            assert satisfies(f, path)
+        dot = trace_to_dot(tr)
+        assert dot.count(" [label=") == n
+        assert dot.count(" -> ") == n - 1
+
+    def test_deep_chain_has_flat_trace(self):
+        # a propagation chain as deep as the formula: counting, measuring
+        # and rendering the trace must not recurse once per node
+        n = 3000
+        f = formula([[1]] + [[-i, i + 1] for i in range(1, n)], n)
+        res, tr = dpll_solve(f)
+        assert res.satisfiable
+        assert tr.node_count() == n + 1
+        assert tr.depth() == n
+        assert tr.to_json_dict()["depth"] == n
+        dot = trace_to_dot(tr)
+        assert f'  n{n} [label="x{n}=true (SAT)"];' in dot
+        assert f"  n{n - 1} -> n{n};" in dot
+
     @settings(max_examples=60, deadline=None)
     @given(random_2cnf(max_n=9, max_m=18))
     def test_agrees_with_2sat_solver(self, f):
@@ -398,7 +434,7 @@ class TestDpll:
         assert d["branchCount"] == 1
         assert d["backtrackCount"] == 1
         assert d["nodeCount"] == tr.node_count()
-        assert d["root"]["kind"] == "root"
+        assert "root" not in d  # the tree itself stays out of the JSON
 
 
 class TestDotExport:
