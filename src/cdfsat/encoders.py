@@ -9,7 +9,8 @@ instead of manufacturing a formula for a problem that needs none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable
 
 from .formula import Clause, CnfFormula
@@ -31,6 +32,8 @@ class Graph:
 
     vertex_count: int
     edges: frozenset[tuple[int, int]]
+    # vertex -> its incident edges in sorted order; isolated vertices are absent
+    _incident: dict[int, list[tuple[int, int]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.vertex_count < 0:
@@ -43,9 +46,16 @@ class Graph:
                 raise ValueError(f"edge ({a},{b}) outside vertex range")
             normalized.add((min(a, b), max(a, b)))
         object.__setattr__(self, "edges", frozenset(normalized))
+        object.__setattr__(self, "_incident", {})
+        for e in sorted(normalized):
+            for v in e:
+                self._incident.setdefault(v, []).append(e)
+
+    def incident_edges(self, v: int) -> list[tuple[int, int]]:
+        return self._incident.get(v, [])
 
     def degree(self, v: int) -> int:
-        return sum(1 for a, b in self.edges if v in (a, b))
+        return len(self.incident_edges(v))
 
     def adjacent(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
@@ -131,7 +141,7 @@ def encode_perfect_matching(g: Graph) -> Encoding:
     warnings: list[str] = []
     next_var = len(edge_list)
     for v in range(g.vertex_count):
-        incident = [edge_var[e] for e in edge_list if v in e]
+        incident = [edge_var[e] for e in g.incident_edges(v)]
         if not incident:
             next_var += 1
             labels[next_var] = f"isolated vertex {v} marker (forced contradiction)"
@@ -140,12 +150,8 @@ def encode_perfect_matching(g: Graph) -> Encoding:
             warnings.append(f"vertex {v} is isolated; no perfect matching exists")
             continue
         clauses.append(Clause(tuple(incident)))
-        for i in range(len(incident)):
-            for j in range(i + 1, len(incident)):
-                clauses.append(Clause((-incident[i], -incident[j])))
-    return Encoding(
-        CnfFormula(tuple(clauses), next_var), labels, tuple(warnings)
-    )
+        clauses.extend(Clause((-a, -b)) for a, b in combinations(incident, 2))
+    return Encoding(CnfFormula(tuple(clauses), next_var), labels, tuple(warnings))
 
 
 def encode_hamiltonian_cycle(g: Graph) -> Encoding:
@@ -170,14 +176,10 @@ def encode_hamiltonian_cycle(g: Graph) -> Encoding:
     clauses: list[Clause] = []
     for p in range(n):
         clauses.append(Clause(tuple(var(v, p) for v in range(n))))
-        for u in range(n):
-            for w in range(u + 1, n):
-                clauses.append(Clause((-var(u, p), -var(w, p))))
+        clauses.extend(Clause((-var(u, p), -var(w, p))) for u, w in combinations(range(n), 2))
     for v in range(n):
         clauses.append(Clause(tuple(var(v, p) for p in range(n))))
-        for p in range(n):
-            for q in range(p + 1, n):
-                clauses.append(Clause((-var(v, p), -var(v, q))))
+        clauses.extend(Clause((-var(v, p), -var(v, q))) for p, q in combinations(range(n), 2))
     for u in range(n):
         for w in range(n):
             if u == w or g.adjacent(u, w):
@@ -207,20 +209,18 @@ def eulerian_path_exists(g: Graph) -> EulerianResult:
     odd-degree vertices is 0 or 2.  The empty edge set counts as the empty
     trail.
     """
-    degrees = {v: g.degree(v) for v in range(g.vertex_count)}
-    odd = sum(1 for d in degrees.values() if d % 2)
-    active = [v for v, d in degrees.items() if d > 0]
+    active = [v for v in range(g.vertex_count) if g.degree(v)]
+    odd = sum(1 for v in active if g.degree(v) % 2)
     if not active:
         return EulerianResult(True, 0, True)
     seen = {active[0]}
     frontier = [active[0]]
     while frontier:
         u = frontier.pop()
-        for a, b in g.edges:
-            if u in (a, b):
-                other = b if u == a else a
-                if other not in seen:
-                    seen.add(other)
-                    frontier.append(other)
+        for a, b in g.incident_edges(u):
+            other = b if u == a else a
+            if other not in seen:
+                seen.add(other)
+                frontier.append(other)
     connected = len(seen) == len(active)
     return EulerianResult(connected and odd in (0, 2), odd, connected)

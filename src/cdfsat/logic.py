@@ -23,9 +23,11 @@ form and is recorded the way the search actually justifies it, as a
 refutation pair: a conflict leaf for the excluded value followed by the
 forced branch.  That is what makes backtrack counters an observable
 difference between narrow and wide formulas instead of an informal claim.
-The trace is a tree stored flat, as parallel per-node lists (parent, kind,
-variable, value, leaf) in depth-first preorder, so counting, measuring and
-rendering it are loops with no recursion, however deep the search went.
+The search itself is one loop over an explicit stack of open decisions,
+and the trace is a tree stored flat, as parallel per-node lists (parent,
+kind, variable, value, leaf) in depth-first preorder, so searching,
+counting, measuring and rendering are loops with no recursion, however
+deep the search goes.
 """
 
 from __future__ import annotations
@@ -90,25 +92,26 @@ class ImplicationGraph:
 
     The edge set is closed under contraposition at construction: inserting
     u => v also inserts ~v => ~u, so the invariant holds no matter how the
-    graph was assembled.  Isolated literals are still nodes.
+    graph was assembled.  Isolated literals are still nodes.  Edges are
+    stored once, as each literal's successors in canonical order.
     """
 
     def __init__(self, variable_count: int, edges: Iterable[Implication] = ()):
         if variable_count < 0:
             raise ValueError("variable_count must be >= 0")
         self.variable_count = variable_count
-        closed: set[tuple[int, int]] = set()
+        adj: dict[int, set[int]] = {}
         for e in edges:
             for lit in (e.antecedent, e.consequent):
                 if lit == 0 or abs(lit) > variable_count:
                     raise ValueError(f"literal {lit} outside variable range")
-            closed.add((e.antecedent, e.consequent))
-            closed.add((-e.consequent, -e.antecedent))
-        self.edges = frozenset(Implication(u, v) for u, v in closed)
-        adj: dict[int, list[int]] = {}
-        for u, v in closed:
-            adj.setdefault(u, []).append(v)
+            adj.setdefault(e.antecedent, set()).add(e.consequent)
+            adj.setdefault(-e.consequent, set()).add(-e.antecedent)
         self._adj = {u: tuple(sorted(vs, key=_lit_key)) for u, vs in adj.items()}
+
+    @property
+    def edges(self) -> frozenset[Implication]:
+        return frozenset(Implication(u, v) for u, vs in self._adj.items() for v in vs)
 
     def successors(self, lit: int) -> tuple[int, ...]:
         return self._adj.get(lit, ())
@@ -123,20 +126,20 @@ class ImplicationGraph:
         return (
             isinstance(other, ImplicationGraph)
             and self.variable_count == other.variable_count
-            and self.edges == other.edges
+            and self._adj == other._adj
         )
 
     def __repr__(self) -> str:
-        return f"ImplicationGraph(n={self.variable_count}, edges={len(self.edges)})"
+        edge_count = sum(len(vs) for vs in self._adj.values())
+        return f"ImplicationGraph(n={self.variable_count}, edges={edge_count})"
 
     def to_json_dict(self) -> dict:
-        pairs = sorted(
-            ((e.antecedent, e.consequent) for e in self.edges),
-            key=lambda p: (_lit_key(p[0]), _lit_key(p[1])),
-        )
+        # literals() and successors() are both in canonical literal order
         return {
             "variableCount": self.variable_count,
-            "edges": [{"from": u, "to": v} for u, v in pairs],
+            "edges": [
+                {"from": u, "to": v} for u in self.literals() for v in self.successors(u)
+            ],
         }
 
 
@@ -488,10 +491,11 @@ class _DpllSearch:
         index = occurrence_index(f)
         self.occ = index.occurrences
         self.units = index.units
-        self.static_count = {
-            v: len(self.occ.get(v, ())) + len(self.occ.get(-v, ()))
-            for v in range(1, f.variable_count + 1)
-        }
+        # decision order: the heuristic's choice is the first candidate in it
+        self.order = list(range(1, f.variable_count + 1))
+        if heuristic == "most-occurrences":
+            # stable sort: ties keep ascending index
+            self.order.sort(key=lambda v: -len(self.occ.get(v, ())) - len(self.occ.get(-v, ())))
         self.assign: Assignment = {}
         self.trail: list[int] = []
         self.sat_flag = [False] * len(self.clauses)
@@ -500,8 +504,6 @@ class _DpllSearch:
         self.pending: deque[int] = deque()
         self.branch_count = 0
         self.conflict_seen = 0
-        self.model: Assignment | None = None
-        self.free: tuple[int, ...] = ()
         # the trace, node 0 being the root (see DerivationTrace)
         self.parents: list[int] = [-1]
         self.kinds: list[str] = ["root"]
@@ -557,7 +559,7 @@ class _DpllSearch:
                     return None  # two unassigned, nothing to do
                 single = lit
             elif (lit > 0) == val:
-                return None  # satisfied (flag may lag behind seeds)
+                return None  # satisfied
         return 0 if single is None else single
 
     def _force(self, lit: int, wide: bool, tip: int) -> int:
@@ -568,15 +570,22 @@ class _DpllSearch:
         self._set_literal(lit)
         return self._node(tip, "propagation", lit)
 
-    def _propagate(self, tip: int) -> int | None:
+    def _propagate(self, tip: int, units: Sequence[int] = ()) -> int | None:
         """Drain the unit-propagation queue, growing the trace chain at tip.
 
-        Returns the new chain tip, or None on conflict (with the dead node
-        already marked as an UNSAT leaf).
+        Whenever the queue runs dry, the next clause of ``units`` (the
+        original unit clauses, at the root) is checked and fired.  Returns
+        the new chain tip, or None on conflict (with the dead node already
+        marked as an UNSAT leaf).
         """
-        while self.pending:
-            lit = self.pending.popleft()
-            for idx in self.occ.get(-lit, ()):
+        next_unit = 0
+        while self.pending or next_unit < len(units):
+            if self.pending:
+                visit = self.occ.get(-self.pending.popleft(), ())
+            else:
+                visit = (units[next_unit],)
+                next_unit += 1
+            for idx in visit:
                 if self.sat_flag[idx]:
                     continue
                 state = self._clause_state(idx)
@@ -589,82 +598,67 @@ class _DpllSearch:
                 tip = self._force(state, len(self.clauses[idx]) >= 3, tip)
         return tip
 
-    def _prime_units(self, tip: int) -> int | None:
-        """Fire original unit clauses before any decision is made."""
-        for idx in self.units:
-            if not self.sat_flag[idx]:
-                state = self._clause_state(idx)
-                if state == 0:
-                    self._note_conflict(tip)
-                    self.pending.clear()
-                    return None
-                if state is not None:
-                    tip = self._force(state, False, tip)
-                    new_tip = self._propagate(tip)
-                    if new_tip is None:
-                        return None
-                    tip = new_tip
-        return tip
-
     # -- branching ------------------------------------------------------
 
-    def _pick_variable(self) -> int:
-        candidates: set[int] = set()
-        for idx, lits in enumerate(self.clauses):
-            if self.sat_flag[idx]:
-                continue
-            for lit in lits:
-                if abs(lit) not in self.assign:
-                    candidates.add(abs(lit))
-        if self.heuristic == "most-occurrences":
-            return max(candidates, key=lambda v: (self.static_count[v], -v))
-        return min(candidates)
+    def _pick_variable(self, start: int) -> int:
+        """Position in ``order`` of the first unassigned variable that occurs
+        in an unsatisfied clause, looking from ``start`` on.
 
-    def _mark_sat(self, tip: int) -> None:
-        self.leaves[tip] = "SAT"
-        self.model = dict(self.assign)
-        self.free = tuple(
-            v for v in range(1, self.f.variable_count + 1) if v not in self.assign
-        )
+        ``start`` is where the parent level's choice was found: every
+        variable before it was then assigned or in satisfied clauses only,
+        and deeper in the search both the assignment and the satisfied
+        clauses only grow.
+        """
+        pos = start
+        while True:
+            var = self.order[pos]
+            if var not in self.assign and not all(
+                self.sat_flag[idx] for lit in (var, -var) for idx in self.occ.get(lit, ())
+            ):
+                return pos
+            pos += 1
 
-    def _search(self, tip: int) -> bool:
-        mark_assign, mark_sat = len(self.trail), len(self.sat_trail)
-        new_tip = self._propagate(tip)
-        if new_tip is None:
-            self._undo_to(mark_assign, mark_sat)
-            return False
-        tip = new_tip
-        if self.sat_count == len(self.clauses):
-            self._mark_sat(tip)
-            return True
-        var = self._pick_variable()
-        for value in (True, False):
-            if value is False:
+    def _search(self) -> bool:
+        """Depth-first search over an explicit stack of open decisions.
+
+        A frame is (literal tried, parent node, trail marks before the
+        literal, order position of its variable).  The true value is tried
+        first, so a negative literal means both values have been tried.  On
+        a conflict the loop drops those frames and flips the newest
+        remaining one; the search is UNSAT when none remains.
+        """
+        frames: list[tuple[int, int, int, int, int]] = []
+        tip = self._propagate(0, self.units)
+        pos = 0
+        while True:
+            if tip is not None:
+                if self.sat_count == len(self.clauses):
+                    self.leaves[tip] = "SAT"
+                    return True  # the assignment is left in place as the model
+                pos = self._pick_variable(pos)
+                lit, parent = self.order[pos], tip
+                frames.append((lit, parent, len(self.trail), len(self.sat_trail), pos))
+            else:
+                while frames and frames[-1][0] < 0:
+                    frames.pop()
+                if not frames:
+                    return False
+                lit, parent, mark_assign, mark_sat, pos = frames[-1]
+                self._undo_to(mark_assign, mark_sat)
                 self.branch_count += 1
-            lit = var if value else -var
-            child = self._node(tip, "decision", lit)
-            child_assign, child_sat = len(self.trail), len(self.sat_trail)
+                lit = -lit
+                frames[-1] = (lit, parent, mark_assign, mark_sat, pos)
+            node = self._node(parent, "decision", lit)
             self._set_literal(lit)
-            if self._search(child):
-                return True
-            self._undo_to(child_assign, child_sat)
-        self._undo_to(mark_assign, mark_sat)
-        return False
+            tip = self._propagate(node)
 
     def run(self) -> tuple[SolveResult, DerivationTrace]:
-        tip = self._prime_units(0)
-        sat = False
-        if tip is not None:
-            if self.sat_count == len(self.clauses):
-                self._mark_sat(tip)
-                sat = True
-            else:
-                sat = self._search(tip)
-        if sat:
-            assert self.model is not None
-            result = SolveResult(True, dict(self.model), None)
-            if not satisfies(self.f, self.model):
+        free: tuple[int, ...] = ()
+        if self._search():
+            result = SolveResult(True, dict(self.assign), None)
+            if not satisfies(self.f, self.assign):
                 raise RuntimeError("dpll produced a non-model")
+            free = tuple(v for v in range(1, self.f.variable_count + 1) if v not in self.assign)
             # every conflict was retreated from: the SAT leaf came after it
             backtracks = self.conflict_seen
         else:
@@ -681,7 +675,7 @@ class _DpllSearch:
             heuristic=self.heuristic,
             branch_count=self.branch_count,
             backtrack_count=backtracks,
-            free_variables=self.free if sat else (),
+            free_variables=free,
         )
         return result, trace
 
@@ -712,12 +706,9 @@ def implication_graph_to_dot(g: ImplicationGraph) -> str:
     lines = ["digraph implication_graph {", "  rankdir=LR;"]
     for lit in g.literals():
         lines.append(f'  "{lit_text(lit)}";')
-    pairs = sorted(
-        ((e.antecedent, e.consequent) for e in g.edges),
-        key=lambda p: (_lit_key(p[0]), _lit_key(p[1])),
-    )
-    for u, v in pairs:
-        lines.append(f'  "{lit_text(u)}" -> "{lit_text(v)}";')
+    for u in g.literals():
+        for v in g.successors(u):
+            lines.append(f'  "{lit_text(u)}" -> "{lit_text(v)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

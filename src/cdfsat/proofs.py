@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 TRUTH_TABLE_ATOM_CAP = 20
+# most connectives and parentheses around any one atom of a parsed proposition
+MAX_NESTING = 100
 
 
 class PropositionParseError(ValueError):
@@ -141,7 +143,13 @@ def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
 
 
 def parse_proposition(text: str) -> Proposition:
-    """Parse ``~``, ``&``, ``|``, ``->`` over alphanumeric atom names."""
+    """Parse ``~``, ``&``, ``|``, ``->`` over alphanumeric atom names.
+
+    No atom may sit inside more than MAX_NESTING connectives and
+    parentheses together.  A deeper proposition is rejected while it is
+    parsed, so neither the parser nor the recursive functions over the tree
+    (evaluation, rendering, equality) reach Python's recursion limit.
+    """
     tokens = list(_tokenize(text))
     pos = 0
 
@@ -154,50 +162,62 @@ def parse_proposition(text: str) -> Proposition:
         pos += 1
         return tok
 
-    def parse_implies() -> Proposition:
-        left = parse_or()
-        kind, value, _ = peek()
+    def nest(level: int, at: int) -> int:
+        if level > MAX_NESTING:
+            raise PropositionParseError(f"nesting deeper than {MAX_NESTING} levels", at)
+        return level
+
+    # Each parse function is given the nesting around its input and returns
+    # its node with the nesting inside it; nest() checks both as they grow,
+    # so the parser's own recursion stops at the bound as well.
+    def parse_implies(depth: int) -> tuple[Proposition, int]:
+        left, height = parse_or(depth)
+        kind, value, at = peek()
         if kind == "op" and value == "->":
             take()
-            return Implies(left, parse_implies())
-        return left
+            right, right_height = parse_implies(nest(depth + 1, at))
+            return Implies(left, right), nest(max(height, right_height) + 1, at)
+        return left, height
 
-    def parse_or() -> Proposition:
-        node = parse_and()
+    def parse_or(depth: int) -> tuple[Proposition, int]:
+        node, height = parse_and(depth)
         while peek()[:2] == ("op", "|"):
-            take()
-            node = Or(node, parse_and())
-        return node
+            at = take()[2]
+            right, right_height = parse_and(nest(depth + 1, at))
+            node, height = Or(node, right), nest(max(height, right_height) + 1, at)
+        return node, height
 
-    def parse_and() -> Proposition:
-        node = parse_unary()
+    def parse_and(depth: int) -> tuple[Proposition, int]:
+        node, height = parse_unary(depth)
         while peek()[:2] == ("op", "&"):
-            take()
-            node = And(node, parse_unary())
-        return node
+            at = take()[2]
+            right, right_height = parse_unary(nest(depth + 1, at))
+            node, height = And(node, right), nest(max(height, right_height) + 1, at)
+        return node, height
 
-    def parse_unary() -> Proposition:
+    def parse_unary(depth: int) -> tuple[Proposition, int]:
         kind, value, at = peek()
         if kind == "op" and value == "~":
             take()
-            return Not(parse_unary())
+            operand, height = parse_unary(nest(depth + 1, at))
+            return Not(operand), nest(height + 1, at)
         if kind == "op" and value == "(":
             take()
-            node = parse_implies()
-            kind, value, at = peek()
+            node, height = parse_implies(nest(depth + 1, at))
+            kind, value, close_at = peek()
             if (kind, value) != ("op", ")"):
-                raise PropositionParseError("expected ')'", at)
+                raise PropositionParseError("expected ')'", close_at)
             take()
-            return node
+            return node, nest(height + 1, at)
         if kind == "atom":
             take()
-            return Atom(value)
+            return Atom(value), 0
         raise PropositionParseError(
             f"expected an atom, '~', or '(', got {value!r}" if value else "unexpected end of input",
             at,
         )
 
-    node = parse_implies()
+    node, _ = parse_implies(0)
     kind, value, at = peek()
     if kind != "end":
         raise PropositionParseError(f"trailing input {value!r}", at)
@@ -315,14 +335,19 @@ def parse_derivation_json(data: list[dict]) -> tuple[DerivationStep, ...]:
             rule = obj["rule"]
         except KeyError as exc:
             raise ValueError(f"step {i}: missing key {exc.args[0]!r}") from None
+        if not isinstance(text, str) or not isinstance(rule, str):
+            raise ValueError(f"step {i}: 'formula' and 'rule' must be strings")
         if rule not in ref_keys:
             raise ValueError(f"step {i}: unknown rule {rule!r}")
         try:
-            refs = tuple(int(obj[k]) for k in ref_keys[rule])
+            refs = tuple(obj[k] for k in ref_keys[rule])
         except KeyError as exc:
             raise ValueError(
                 f"step {i}: rule {rule!r} needs key {exc.args[0]!r}"
             ) from None
+        for key, ref in zip(ref_keys[rule], refs):
+            if type(ref) is not int:  # bool is an int subclass, and 1.5 is no step
+                raise ValueError(f"step {i}: {key!r} must be a step number, got {ref!r}")
         steps.append(DerivationStep(parse_proposition(text), rule, refs))
     return tuple(steps)
 

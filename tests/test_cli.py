@@ -340,6 +340,41 @@ class TestProve:
         proc = run_cli("prove", "A", "--derivation", str(bad))
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize(
+        "formula",
+        [
+            "~" * 1200 + "A",
+            "(" * 300 + "A" + ")" * 300,
+            " & ".join(["A"] * 1500),
+            " -> ".join(["A"] * 1500),
+        ],
+        ids=["negations", "parentheses", "and-chain", "implies-chain"],
+    )
+    def test_too_deep_formula_exits_1(self, formula):
+        proc = run_cli("prove", formula, "--quiet")
+        assert proc.returncode == 1, proc.stderr
+        assert "nesting deeper than" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "step",
+        [
+            {"formula": "A", "rule": "reiteration", "of": [1]},
+            {"formula": "A", "rule": "reiteration", "of": 1.5},
+            {"formula": "A", "rule": "reiteration", "of": True},
+            {"formula": 5, "rule": "assumption"},
+            {"formula": "A", "rule": ["assumption"]},
+        ],
+        ids=["list-ref", "float-ref", "bool-ref", "number-formula", "list-rule"],
+    )
+    def test_mistyped_derivation_step_exits_1(self, tmp_path, step):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([{"formula": "A", "rule": "assumption"}, step]))
+        proc = run_cli("prove", "A -> A", "--derivation", str(bad), "--quiet")
+        assert proc.returncode == 1, proc.stderr
+        assert "cdfsat: error: step 2: " in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_table_in_stderr_summary(self):
         proc = run_cli("prove", "A -> A")
         assert "tautology: yes" in proc.stderr
@@ -358,17 +393,28 @@ class TestExportDot:
         assert proc.returncode == 0
         assert "UNSAT" in proc.stdout
 
-    def test_deep_chain_within_budget(self):
-        # [[1]] + [[-i, i+1]]: a 3000-deep propagation chain, deeper than
-        # Python's default recursion limit
+    # chain: a 3000-deep propagation chain; pairs: 1500 decisions, each
+    # followed by one propagation.  Both search 3000 deep, past Python's
+    # default recursion limit.  Counting the chain's 3000 overlapping
+    # variables is past the cap (partial result, exit 2); the pairs are
+    # disjoint clauses, counted exactly by the product law.
+    @pytest.mark.parametrize(
+        "clauses, analyze_code",
+        [
+            pytest.param([[1]] + [[-i, i + 1] for i in range(1, 3000)], 2, id="chain"),
+            pytest.param([[-i, -(i + 1)] for i in range(1, 3000, 2)], 0, id="pairs"),
+        ],
+    )
+    def test_deep_chain_within_budget(self, clauses, analyze_code):
         n = 3000
-        text = f"p cnf {n} {n}\n1 0\n" + "".join(f"-{i} {i + 1} 0\n" for i in range(1, n))
+        text = f"p cnf {n} {len(clauses)}\n" + "".join(
+            " ".join(map(str, cl)) + " 0\n" for cl in clauses
+        )
         start = time.monotonic()
         analyze = run_cli("analyze", "-", "--quiet", stdin_text=text)
         dot = run_cli("export-dot", "trace", "-", stdin_text=text)
         elapsed = time.monotonic() - start
-        # counting 3000 overlapping variables is past the cap: partial result
-        assert analyze.returncode == 2, analyze.stderr
+        assert analyze.returncode == analyze_code, analyze.stderr
         assert json.loads(analyze.stdout)["logic"]["dpll"]["depth"] == n
         assert dot.returncode == 0, dot.stderr
         assert dot.stdout.count(" [label=") == n + 1

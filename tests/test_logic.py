@@ -421,6 +421,18 @@ class TestDpll:
         assert f'  n{n} [label="x{n}=true (SAT)"];' in dot
         assert f"  n{n - 1} -> n{n};" in dot
 
+    @pytest.mark.parametrize("heuristic", HEURISTICS)
+    def test_deep_pairs_search_is_iterative(self, heuristic):
+        # 1500 decisions deep: the search itself must not recurse per decision
+        n = 3000
+        f = formula([[-i, -(i + 1)] for i in range(1, n, 2)], n)
+        res, tr = dpll_solve(f, heuristic=heuristic)
+        assert res.satisfiable and satisfies(f, res.model)
+        assert tr.depth() == n
+        assert tr.node_count() == n + 1
+        assert tr.kinds.count("decision") == n // 2
+        assert tr.branch_count == tr.backtrack_count == 0
+
     @settings(max_examples=60, deadline=None)
     @given(random_2cnf(max_n=9, max_m=18))
     def test_agrees_with_2sat_solver(self, f):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdfsat.proofs import (
+    MAX_NESTING,
     And,
     Atom,
     DerivationStep,
@@ -84,6 +85,24 @@ class TestParser:
     def test_empty_input(self):
         with pytest.raises(PropositionParseError):
             parse_proposition("")
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda k: "~" * k + "A",
+            lambda k: "(" * k + "A" + ")" * k,
+            lambda k: " & ".join(["A"] * (k + 1)),
+            lambda k: " | ".join(["A"] * (k + 1)),
+            lambda k: " -> ".join(["A"] * (k + 1)),
+            lambda k: "(" * (k // 2) + " & ".join(["A"] * (k - k // 2 + 1)) + ")" * (k // 2),
+        ],
+        ids=["negations", "parentheses", "and-chain", "or-chain", "implies-chain", "mixed"],
+    )
+    def test_nesting_bound(self, build):
+        # connectives and parentheses around one atom count alike
+        assert eval_proposition(parse_proposition(build(MAX_NESTING)), {"A": True}) is True
+        with pytest.raises(PropositionParseError, match="nesting deeper than"):
+            parse_proposition(build(MAX_NESTING + 1))
 
     @settings(max_examples=150)
     @given(propositions())
