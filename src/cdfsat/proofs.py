@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
+import numpy as np
+
 TRUTH_TABLE_ATOM_CAP = 20
 # most connectives and parentheses around any one atom of a parsed proposition
 MAX_NESTING = 100
@@ -283,11 +285,24 @@ def eval_truth_table(p: Proposition) -> TruthTable:
             f"{len(names)} atoms exceeds the truth-table cap of {TRUTH_TABLE_ATOM_CAP}"
         )
     k = len(names)
-    values = []
-    for row in range(1 << k):
-        env = {a: bool((row >> (k - 1 - i)) & 1) for i, a in enumerate(names)}
-        values.append(eval_proposition(p, env))
-    return TruthTable(names, tuple(values))
+    rows = np.arange(1 << k)
+    columns = {a: ((rows >> (k - 1 - i)) & 1).astype(bool) for i, a in enumerate(names)}
+    return TruthTable(names, tuple(_eval_columns(p, columns).tolist()))
+
+
+def _eval_columns(p: Proposition, columns: dict[str, np.ndarray]) -> np.ndarray:
+    """eval_proposition over every row at once, one bool column per atom."""
+    if isinstance(p, Atom):
+        return columns[p.name]
+    if isinstance(p, Not):
+        return ~_eval_columns(p.operand, columns)
+    if isinstance(p, And):
+        return _eval_columns(p.left, columns) & _eval_columns(p.right, columns)
+    if isinstance(p, Or):
+        return _eval_columns(p.left, columns) | _eval_columns(p.right, columns)
+    if isinstance(p, Implies):
+        return ~_eval_columns(p.left, columns) | _eval_columns(p.right, columns)
+    raise TypeError(f"not a proposition: {p!r}")
 
 
 def semantic_cost(p: Proposition) -> int:

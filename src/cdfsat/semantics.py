@@ -11,6 +11,18 @@ and runs up to ``enumeration_cap`` variables (default 26); when the clause
 variable sets are pairwise disjoint, the count is also available in closed
 form as prod(2^k_i - 1) * 2^(free variables), and the two routes are
 cross-checked whenever both were computed.
+
+The exhaustive sweep is bit-sliced.  Assignment index a = 64 * word + bit,
+with variable v at bit n - v, so the lowest L = min(n, SWEEP_BITS) bits
+hold the highest-indexed variables.  Their truth columns are built once per
+call as packed uint64 words, 2^(L-6) per column (one partial word when
+L < 6), in both polarities.  The sweep then runs one chunk per setting of
+the other n - L variables.  Under a chunk's prefix every clause resolves in
+Python first: a true high literal drops it, a clause left with no literal
+empties the chunk, and any other clause ANDs the OR of its low columns into
+the chunk's accumulator.  One word op thus checks a clause against 64
+assignments; ``np.bitwise_count`` counts the accumulator, and materialized
+models are its set bits in ascending order.
 """
 
 from __future__ import annotations
@@ -23,10 +35,24 @@ import numpy as np
 from .formula import Assignment, Clause, CnfFormula
 
 ENUMERATION_CAP = 26
-# assignments and clause masks are uint64 bitmasks, and the sweep counts
-# up to 2^n, so n = 63 is the widest formula the sweep can represent
+# the sweep numbers the 2^n assignments with uint64 indices (64 * word + bit,
+# prefix above the chunk bits), so n = 63 is the widest formula it can index
 MAX_ENUMERATION_CAP = 63
 MATERIALIZATION_CAP = 20
+# the sweep runs the lowest SWEEP_BITS assignment bits as packed words and
+# fixes the variables above them once per chunk
+SWEEP_BITS = 18
+_ALL_ONES = (1 << 64) - 1
+# bit b of _WORD_COLUMNS[j] is bit j of b: within one word, the truth column
+# of the variable at assignment bit j < 6
+_WORD_COLUMNS = (
+    0xAAAAAAAAAAAAAAAA,
+    0xCCCCCCCCCCCCCCCC,
+    0xF0F0F0F0F0F0F0F0,
+    0xFF00FF00FF00FF00,
+    0xFFFF0000FFFF0000,
+    0xFFFFFFFF00000000,
+)
 
 ENUMERATED = "enumerated"
 COUNT_ONLY = "count-only"
@@ -147,49 +173,91 @@ def clause_image(cl: Clause, materialization_cap: int = MATERIALIZATION_CAP) -> 
     return SemanticImage(scope, count, masks, ENUMERATED)
 
 
-def _clause_bit_patterns(f: CnfFormula) -> tuple[np.ndarray, np.ndarray]:
-    """Per-clause (mask, falsifying-pattern) pairs over n-bit assignments."""
-    n = f.variable_count
-    masks = np.zeros(f.clause_count, dtype=np.uint64)
-    patterns = np.zeros(f.clause_count, dtype=np.uint64)
-    for i, cl in enumerate(f.clauses):
-        mask = 0
-        pattern = 0
-        for lit in cl:
-            bit = 1 << (n - abs(lit))
-            mask |= bit
-            if lit < 0:
-                pattern |= bit
-        masks[i] = mask
-        patterns[i] = pattern
-    return masks, patterns
+def _low_columns(bits: int) -> np.ndarray:
+    """Packed truth columns of assignment bits 0..bits-1, in both polarities.
+
+    Assignment ``a`` of the 2^bits sits at bit ``a % 64`` of word ``a // 64``.
+    Row 2j is set where bit j of the assignment is set, row 2j + 1 is its
+    complement.  Below 6 bits there is one partial word, and its bits at or
+    past 2^bits are for the caller to mask.
+    """
+    columns = np.empty((2 * bits, 1 << max(bits - 6, 0)), dtype=np.uint64)
+    for j in range(bits):
+        if j < 6:
+            columns[2 * j] = _WORD_COLUMNS[j]
+        else:
+            # runs of 2^(j-6) words alternate between bit j clear and set
+            runs = columns[2 * j].reshape(-1, 2, 1 << (j - 6))
+            runs[:, 0] = 0
+            runs[:, 1] = _ALL_ONES
+    columns[1::2] = ~columns[0::2]
+    return columns
 
 
-def _enumerate_image(f: CnfFormula, materialize: bool) -> tuple[int, tuple[int, ...] | None]:
-    """Exact count by exhaustive enumeration, vectorized over chunks.
+def _and_clause(
+    acc: np.ndarray, columns: np.ndarray, rows: list[int], scratch: np.ndarray
+) -> None:
+    """AND the OR of ``columns[rows]`` into ``acc`` in place."""
+    if len(rows) == 1:
+        np.bitwise_and(acc, columns[rows[0]], out=acc)
+        return
+    np.bitwise_or(columns[rows[0]], columns[rows[1]], out=scratch)
+    for row in rows[2:]:
+        np.bitwise_or(scratch, columns[row], out=scratch)
+    np.bitwise_and(acc, scratch, out=acc)
 
-    A clause is falsified by exactly the assignments matching its falsifying
-    pattern on its variable mask, so satisfaction is two bitwise ops per
-    clause per assignment.
+
+def _sweep(f: CnfFormula, materialize: bool) -> tuple[int, tuple[int, ...] | None]:
+    """Exact count, and the ascending models if asked, by the bit-sliced sweep.
+
+    See the module docstring for the layout.  Clauses with no high literal
+    resolve the same way under every prefix, so they are ANDed once into the
+    accumulator that each chunk starts from.
     """
     n = f.variable_count
-    total = 1 << n
-    masks, patterns = _clause_bit_patterns(f)
-    chunk = 1 << 20
+    low = min(n, SWEEP_BITS)
+    columns = _low_columns(low)
+    base = np.full(columns.shape[1], _ALL_ONES, dtype=np.uint64)
+    if low < 6:
+        base[0] = (1 << (1 << low)) - 1
+    scratch = np.empty_like(base)
+    # each clause with a high literal: (mask, falsifying pattern) of its high
+    # literals over the chunk prefix, and the column rows of its low literals
+    split: list[tuple[int, int, list[int]]] = []
+    for cl in f.clauses:
+        mask = pattern = 0
+        rows = []
+        for lit in cl:
+            bit = n - abs(lit)
+            if bit < low:
+                rows.append(2 * bit + (lit < 0))
+            else:
+                mask |= 1 << (bit - low)
+                if lit < 0:
+                    pattern |= 1 << (bit - low)
+        if mask:
+            split.append((mask, pattern, rows))
+        else:
+            _and_clause(base, columns, rows, scratch)
     count = 0
     kept: list[np.ndarray] = []
-    for base in range(0, total, chunk):
-        a = np.arange(base, min(base + chunk, total), dtype=np.uint64)
-        ok = np.ones(a.shape, dtype=bool)
-        for mask, pattern in zip(masks, patterns):
-            ok &= (a & mask) != pattern
-        count += int(np.count_nonzero(ok))
-        if materialize:
-            kept.append(a[ok])
+    for prefix in range(1 << (n - low)):
+        acc = base.copy()
+        for mask, pattern, rows in split:
+            if (prefix & mask) != pattern:
+                continue  # a high literal is true under this prefix
+            if not rows:
+                break  # every literal is false: no model in this chunk
+            _and_clause(acc, columns, rows, scratch)
+        else:
+            count += int(np.bitwise_count(acc).sum())
+            if materialize:
+                octets = acc.astype("<u8", copy=False).view(np.uint8)
+                bits = np.unpackbits(octets, bitorder="little")
+                kept.append(np.flatnonzero(bits) + (prefix << low))
     if not materialize:
         return count, None
-    sat = np.concatenate(kept) if kept else np.empty(0, dtype=np.uint64)
-    return count, tuple(int(m) for m in sat)
+    return count, tuple(np.concatenate(kept).tolist()) if kept else ()
 
 
 def formula_image(
@@ -214,7 +282,7 @@ def formula_image(
         free = n - sum(cl.width for cl in f.clauses)
         product = bound << free
     if n <= enumeration_cap and n <= materialization_cap:
-        count, assignments = _enumerate_image(f, materialize=True)
+        count, assignments = _sweep(f, materialize=True)
         if product is not None and product != count:
             raise RuntimeError(
                 f"enumeration ({count}) and disjoint product ({product}) disagree"
@@ -223,7 +291,7 @@ def formula_image(
     if product is not None:
         return SemanticImage(scope, product, None, COUNT_ONLY)
     if n <= enumeration_cap:
-        count, _ = _enumerate_image(f, materialize=False)
+        count, _ = _sweep(f, materialize=False)
         return SemanticImage(scope, count, None, COUNT_ONLY)
     raise IntractableError(n, enumeration_cap)
 

@@ -375,6 +375,18 @@ class TestProve:
         assert "cdfsat: error: step 2: " in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_widest_truth_table_within_budget(self):
+        # 20 atoms is TRUTH_TABLE_ATOM_CAP: 2^20 rows
+        goal = " | ".join(f"A{i}" for i in range(20))
+        start = time.monotonic()
+        proc = run_cli("prove", goal, "--quiet")
+        elapsed = time.monotonic() - start
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["tautology"] is False
+        assert report["truthTable"]["rowCount"] == 1 << 20
+        assert elapsed < 3.0, f"budget exceeded: {elapsed:.2f}s >= 3.0s"
+
     def test_table_in_stderr_summary(self):
         proc = run_cli("prove", "A -> A")
         assert "tautology: yes" in proc.stderr

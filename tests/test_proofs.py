@@ -30,8 +30,8 @@ from cdfsat.proofs import (
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 
 
-def propositions(max_leaves=6):
-    atom = st.sampled_from("ABCDE").map(Atom)
+def propositions(max_leaves=6, names="ABCDE"):
+    atom = st.sampled_from(names).map(Atom)
     return st.recursive(
         atom,
         lambda inner: st.one_of(
@@ -160,6 +160,15 @@ class TestTruthTable:
         wide = " & ".join(f"a{i}" for i in range(21))
         with pytest.raises(ValueError):
             eval_truth_table(parse_proposition(wide))
+
+    @settings(max_examples=150)
+    @given(propositions(max_leaves=12, names="ABCDEF"))
+    def test_rows_match_eval_proposition(self, p):
+        table = eval_truth_table(p)
+        assert len(table.values) == 1 << len(table.atoms)
+        for row, value in enumerate(table.values):
+            assert type(value) is bool
+            assert value is eval_proposition(p, table.row_assignment(row))
 
     def test_json_rows_optional(self):
         table = eval_truth_table(parse_proposition("A"))

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import math
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from cdfsat.semantics import (
     COUNT_ONLY,
     ENUMERATED,
     MAX_ENUMERATION_CAP,
+    SWEEP_BITS,
     IntractableError,
     clause_image,
     clauses_variable_disjoint,
@@ -19,7 +22,7 @@ from cdfsat.semantics import (
     log2_count,
 )
 
-from _oracles import count_models, model_masks
+from _oracles import count_models, fast_count_models, model_masks
 
 
 def random_formulas(max_n=8, max_m=12, ks=(1, 2, 3)):
@@ -35,6 +38,22 @@ def random_formulas(max_n=8, max_m=12, ks=(1, 2, 3)):
         return f
 
     return build()
+
+
+@st.composite
+def mixed_width_clauses(draw, max_n=12, max_m=16):
+    """Strategy: (clause_lists, n) with widths 1..4 mixed in one formula."""
+    n = draw(st.integers(1, max_n))
+    variables = st.integers(1, n)
+    lists = draw(
+        st.lists(
+            st.lists(variables, min_size=1, max_size=min(4, n), unique=True).flatmap(
+                lambda vs: st.tuples(*[st.sampled_from([v, -v]) for v in vs])
+            ),
+            max_size=max_m,
+        )
+    )
+    return [list(cl) for cl in lists], n
 
 
 class TestClauseImage:
@@ -120,6 +139,51 @@ class TestFormulaImage:
         assert img.count == count_models(lists, f.variable_count)
         if img.assignments is not None:
             assert list(img.assignments) == model_masks(lists, f.variable_count)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_width_clauses())
+    def test_sweep_matches_model_masks(self, case):
+        # n < 6 leaves the sweep one partial word; unit clauses have no
+        # second column to OR
+        lists, n = case
+        f = formula(lists, n)
+        expected = model_masks(lists, n)
+        img = formula_image(f)
+        assert img.count == len(expected)
+        assert list(img.assignments) == expected
+        assert formula_image(f, materialization_cap=0).count == len(expected)
+
+    @pytest.mark.parametrize("n", range(SWEEP_BITS + 1, SWEEP_BITS + 5))
+    def test_sweep_past_one_chunk_matches_fast_oracle(self, n):
+        # n > SWEEP_BITS splits the sweep into 2^(n - SWEEP_BITS) chunks.
+        # (~x1) lies wholly above the chunk bits, and so does (x1 | ~x2)
+        # from n = 20: each leaves whole chunks without a model
+        random_lists = generate_random_ksat(n, 3 * n, 3, seed=n).clauses
+        lists = [[-1], [1, -2]] + [cl.literals for cl in random_lists]
+        f = formula(lists, n)
+        expected = fast_count_models(lists, n)
+        assert formula_image(f, materialization_cap=0).count == expected
+        if n > 20:
+            return
+        img = formula_image(f)
+        assert img.representation == ENUMERATED
+        masks = np.array(img.assignments, dtype=np.int64)
+        assert len(masks) == expected
+        assert np.all(np.diff(masks) > 0)
+        for cl in lists:
+            sat = np.zeros(len(masks), dtype=bool)
+            for lit in cl:
+                sat |= ((masks >> (n - abs(lit))) & 1) == (lit > 0)
+            assert sat.all()
+
+    def test_count_only_sweep_within_budget(self):
+        # 256 chunks; the ROADMAP baseline took 12.2 s here
+        f = generate_random_ksat(26, 110, 3, seed=0)
+        start = time.perf_counter()
+        img = formula_image(f, materialization_cap=0)
+        elapsed = time.perf_counter() - start
+        assert img.representation == COUNT_ONLY
+        assert elapsed < 2.0, f"budget exceeded: {elapsed:.2f}s >= 2.0s"
 
     def test_disjoint_product_route_beyond_materialization(self):
         # 8 disjoint 3-clauses over 24 vars: count-only product, no enumeration
