@@ -1,13 +1,32 @@
 """Compositionality checking, semantic growth measurement, classification.
 
-The central question is executable: does reasoning over the implication
-graph (built clause by clause, then closed by reachability) force exactly
-the literals that direct clause-level propagation forces?  For formulas
-whose clauses all fit the implication form the two fragments are compared
-seed by seed; a width->=3 clause ends the comparison immediately, because
-no implication form exists for it, and the report then carries a concrete
-witness: a partial assignment under which clause-level reasoning is stuck
-and graph reasoning is not even defined.
+The central question: does reasoning over the implication graph (built
+clause by clause, then closed by reachability) force exactly the literals
+that direct clause-level propagation forces, from every seed (the empty set
+and each single literal, 2n+1 seeds)?  A width->=3 clause settles it at
+once, because no implication form exists for it, and the report then
+carries a concrete witness: a partial assignment under which clause-level
+reasoning is stuck and graph reasoning is not even defined.
+
+For formulas whose clauses all have width <= 2 the answer is fixed by the
+syntax, by this lemma:
+
+* Without a unit clause the two fragments agree on every seed.  Clause
+  (a | b) forces b after ~a exactly as the edge ~a => b does, so every
+  forced literal is reachable; a propagation fixpoint without conflict is
+  consistent and closed under the edges, so it is the whole reachability
+  closure; and a falsified clause (a | b) puts ~a, ~b and, along ~a => b,
+  b into the closure, so both sides meet a conflict on the same seeds.
+* With a unit clause (a) the empty seed already disagrees: clause-level
+  propagation forces a (or meets a conflict), while reachability from
+  nothing reaches nothing, since the edge ~a => a needs ~a first.
+
+So the narrow report is computed, not searched for: the first unit clause
+with the empty seed, UP(empty)'s forced set and the empty set as its
+witness, or Compositional; either way the 2n+1 seeds the lemma covers are
+counted.  On narrow formulas NonCompositional thus comes only from unit
+clauses.  The seed-by-seed comparison itself lives in the test oracles
+(``tests/_oracles.py``), which check the lemma route against it.
 
 Growth measurement samples exact image sizes over a formula family and fits
 log2(size) against n (exponential model) and against log2(n) (polynomial
@@ -30,9 +49,10 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .formula import Clause, CnfFormula
-from .logic import (
+# build_implication_graph and propagate_closure are not called here; they stay
+# importable from this module, where perfbench/tracing.py wraps them
+from .logic import (  # noqa: F401
     build_implication_graph,
-    occurrence_index,
     propagate_closure,
     unit_propagate,
     _lit_key,
@@ -60,9 +80,9 @@ class CompositionalityWitness:
     For a wide clause: the clause, a partial assignment falsifying all but
     two of its literals, the (empty) set clause-level reasoning forces on
     it, and None for the graph side, whose implication form is undefined.
-    For a narrow-clause disagreement (possible when width-1 clauses are
-    present, which fire unconditionally on the clause side but are pure
-    reachability edges on the graph side): the two unequal forced sets.
+    For a narrow formula with a unit clause: that clause, the empty seed,
+    the set clause-level propagation forces from it, and the empty set
+    reachability forces from it.
     """
 
     clause: Clause
@@ -118,46 +138,37 @@ def wide_clause_witness(f: CnfFormula, cl: Clause) -> CompositionalityWitness:
 
 
 def check_compositionality(f: CnfFormula) -> CompositionalityReport:
-    """Compare clause-level and graph-level forced sets over all seeds.
+    """Decide whether clause-level and graph-level propagation agree.
 
-    Seeds are the empty set and every single literal of every variable
-    (2n+1 seeds).  For each seed, the clause fragment (unit_propagate) and
-    the graph fragment (propagate_closure over the implication graph) must
-    agree: same conflict presence and, absent conflicts, the same forced
-    set.  A width->=3 clause short-circuits to NonCompositional with a
-    replayable witness instead, since the graph side is undefined for it.
+    A width->=3 clause short-circuits to NonCompositional with a replayable
+    wide-clause witness and 0 checked seeds, since the graph side is
+    undefined for it.  Otherwise the lemma in the module docstring decides
+    over all 2n+1 seeds (the empty set and every single literal): the first
+    unit clause gives NonCompositional at the empty seed, with UP(empty)'s
+    forced set against the empty reachability closure; with no unit clause
+    the formula is Compositional.  This takes one unit propagation from the
+    empty seed, and no implication graph.
     """
     for cl in f.clauses:
         if cl.width >= 3:
             return CompositionalityReport(
                 NON_COMPOSITIONAL, 0, wide_clause_witness(f, cl)
             )
-    g = build_implication_graph(f)
-    index = occurrence_index(f)
-    seeds: list[frozenset[int]] = [frozenset()]
-    for v in range(1, f.variable_count + 1):
-        seeds.append(frozenset({v}))
-        seeds.append(frozenset({-v}))
-    for seed in seeds:
-        gamma = unit_propagate(f, {abs(l): l > 0 for l in seed}, index)
-        beta = propagate_closure(g, seed)
-        agree = (gamma.conflict is None) == (beta.conflict is None) and (
-            gamma.conflict is not None or gamma.forced == beta.forced
-        )
-        if not agree:
-            units = [cl for cl in f.clauses if cl.width == 1]
-            blamed = units[0] if units else f.clauses[0]
+    seeds = 2 * f.variable_count + 1
+    for cl in f.clauses:
+        if cl.width == 1:
+            gamma = unit_propagate(f, {})
             return CompositionalityReport(
                 NON_COMPOSITIONAL,
-                len(seeds),
+                seeds,
                 CompositionalityWitness(
-                    clause=blamed,
-                    assignment=seed,
-                    gamma_forced=frozenset(gamma.forced),
-                    beta_alpha_forced=frozenset(beta.forced),
+                    clause=cl,
+                    assignment=frozenset(),
+                    gamma_forced=gamma.forced,
+                    beta_alpha_forced=frozenset(),
                 ),
             )
-    return CompositionalityReport(COMPOSITIONAL, len(seeds), None)
+    return CompositionalityReport(COMPOSITIONAL, seeds, None)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ environment knobs are CDFSAT_CAP (enumeration cap) and CDFSAT_THETA
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -64,6 +65,10 @@ from .semantics import (
 
 ENV_CAP = "CDFSAT_CAP"
 ENV_THETA = "CDFSAT_THETA"
+
+# the most clauses `growth` draws for one family member, floor(density * n)
+# at the largest n; past it the command is a usage error
+MAX_GROWTH_CLAUSES = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -223,6 +228,10 @@ def _cmd_growth(args: argparse.Namespace) -> int:
     density: Fraction = args.density
     if density <= 0:
         args.parser.error("--density must be positive")
+    if math.floor(density * ns[-1]) > MAX_GROWTH_CLAUSES:
+        args.parser.error(
+            f"--density gives more than {MAX_GROWTH_CLAUSES} clauses at n={ns[-1]}"
+        )
 
     def family(n: int) -> CnfFormula:
         m = math.floor(density * n)
@@ -439,8 +448,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # built on the first call and reused: parsing keeps no state on the
+    # parser, and per-call state lives on the returned Namespace
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     args = parser.parse_args(argv)
     args.parser = parser
     try:

@@ -10,10 +10,14 @@ them separate is the point of the package:
   any width, forcing the last unfalsified literal of an otherwise-falsified
   clause.
 
-For formulas whose clauses all have width <= 2 the two fragments compute the
-same forced sets from the same seeds (that comparison is run, not assumed,
-by the analysis layer); a width->=3 clause has no implication form at all,
-which ``clause_to_implications`` reports as WideClauseError.
+For formulas whose clauses all have width <= 2, none of them width 1, the
+two fragments compute the same forced sets and meet the same conflicts from
+every seed; a unit clause makes them differ at the empty seed, which clause
+propagation fires and reachability does not.  The analysis layer decides
+compositionality from this lemma, and the test suite checks it against a
+seed-by-seed comparison of the two fragments.  A width->=3 clause has no
+implication form at all, which ``clause_to_implications`` reports as
+WideClauseError.
 
 ``dpll_solve`` is a complete backtracking search, unit propagation first.
 Its trace distinguishes how each assignment was obtained: a forcing through
@@ -224,10 +228,9 @@ class OccurrenceIndex:
 
     ``occurrences`` maps a literal to the ascending indices of the clauses
     that contain it; ``units`` lists the indices of the width-1 clauses in
-    ascending order.  An index belongs to the formula it was built from.
+    ascending order.
     """
 
-    formula: CnfFormula
     occurrences: dict[int, list[int]]
     units: tuple[int, ...]
 
@@ -242,12 +245,10 @@ def occurrence_index(f: CnfFormula) -> OccurrenceIndex:
             units.append(idx)
         for lit in lits:
             occ.setdefault(lit, []).append(idx)
-    return OccurrenceIndex(f, occ, tuple(units))
+    return OccurrenceIndex(occ, tuple(units))
 
 
-def unit_propagate(
-    f: CnfFormula, assignment: Assignment, index: OccurrenceIndex | None = None
-) -> PropagationClosure:
+def unit_propagate(f: CnfFormula, assignment: Assignment) -> PropagationClosure:
     """Deterministic clause-level closure of a partial assignment.
 
     Repeatedly: a clause with every literal false except one unassigned
@@ -257,12 +258,11 @@ def unit_propagate(
     The result is that of scanning all clauses in formula order, pass after
     pass, until a pass forces nothing; steps, forced set and conflict are
     exactly those of that rescan, including the forced set at a conflict,
-    which depends on visit order.  The scan is replayed from ``index``
-    (built from ``f`` when not given; pass one to amortise it over many
-    seeds) instead of being run: a clause can only start to force or
-    conflict once the negation of one of its literals is forced, so each
-    pass visits just the clauses that such an event touched since their
-    last visit, in ascending order.  The first pass starts from the unit
+    which depends on visit order.  The scan is replayed from the formula's
+    occurrence index instead of being run: a clause can only start to
+    force or conflict once the negation of one of its literals is forced,
+    so each pass visits just the clauses that such an event touched since
+    their last visit, in ascending order.  The first pass starts from the unit
     clauses and the clauses containing the negation of a seed literal.
     When clause i forces a literal, the clauses containing its negation
     join the current pass if their index is above i (a min-heap keeps the
@@ -271,10 +271,7 @@ def unit_propagate(
     for var in assignment:
         if var < 1 or var > f.variable_count:
             raise ValueError(f"assigned variable {var} outside variable range")
-    if index is None:
-        index = occurrence_index(f)
-    elif index.formula is not f:
-        raise ValueError("occurrence index was built from another formula")
+    index = occurrence_index(f)
     occ = index.occurrences
     clauses = f.clauses
     seed_set = frozenset(v if val else -v for v, val in assignment.items())

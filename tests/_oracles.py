@@ -170,6 +170,58 @@ def naive_reachable(pairs, seed_literals) -> set[int]:
     return forced
 
 
+def _lit_order(lit: int):
+    return (abs(lit), lit < 0)
+
+
+def seedwise_compositionality(clause_lists, n: int) -> dict:
+    """The compositionality report of a width-<=2 formula, seed by seed.
+
+    Runs clause-level propagation (``rescan_unit_propagate``) and
+    reachability over the implication edges (``naive_reachable``; a clause
+    (a | b) gives ~a => b and ~b => a, a unit clause (a) gives ~a => a)
+    from the empty seed and from every single literal (x1, ~x1, x2, ...),
+    2n+1 seeds.  It stops at the first seed on which the two differ in
+    whether they meet a conflict (a falsified clause; a variable reached in
+    both polarities) or, with no conflict on either side, in the forced
+    set.  The result has the shape of the package's JSON report; the
+    witness blames the first unit clause (the first clause when there is
+    none) and carries the two forced sets.
+    """
+    if any(len(cl) > 2 for cl in clause_lists):
+        raise ValueError("seedwise comparison needs clauses of width <= 2")
+    pairs = []
+    for cl in clause_lists:
+        if len(cl) == 1:
+            pairs.append((-cl[0], cl[0]))
+        else:
+            a, b = cl
+            pairs += [(-a, b), (-b, a)]
+    seeds = [set()]
+    for v in range(1, n + 1):
+        seeds += [{v}, {-v}]
+    for seed in seeds:
+        gamma, _, conflict = rescan_unit_propagate(clause_lists, seed)
+        beta = naive_reachable(pairs, seed)
+        clause_conflict = conflict is not None
+        graph_conflict = any(-lit in beta for lit in beta)
+        if clause_conflict == graph_conflict and (clause_conflict or gamma == beta):
+            continue
+        units = [cl for cl in clause_lists if len(cl) == 1]
+        blamed = units[0] if units else clause_lists[0]
+        return {
+            "status": "NonCompositional",
+            "checkedSeeds": len(seeds),
+            "witness": {
+                "clause": list(blamed),
+                "assignment": sorted(seed, key=_lit_order),
+                "gammaForced": sorted(gamma, key=_lit_order),
+                "betaAlphaForced": sorted(beta, key=_lit_order),
+            },
+        }
+    return {"status": "Compositional", "checkedSeeds": len(seeds), "witness": None}
+
+
 # ---------------------------------------------------------------------------
 # Graph problems
 # ---------------------------------------------------------------------------

@@ -29,6 +29,8 @@ from cdfsat.formula import clause, formula, generate_random_ksat
 from cdfsat.logic import unit_propagate
 from cdfsat.semantics import formula_image
 
+from _oracles import seedwise_compositionality
+
 
 def random_2cnf(max_n=8, max_m=14):
     @st.composite
@@ -37,6 +39,28 @@ def random_2cnf(max_n=8, max_m=14):
         m = draw(st.integers(0, max_m))
         seed = draw(st.integers(0, 10**6))
         return generate_random_ksat(n, m, 2, seed=seed)
+
+    return build()
+
+
+def narrow_cnf(with_units: bool, max_n=10, max_m=14):
+    """Width-2 formulas, with at least one unit clause mixed in if asked."""
+
+    @st.composite
+    def build(draw):
+        n = draw(st.integers(2, max_n))
+        m = draw(st.integers(0, max_m))
+        clauses = []
+        for _ in range(m):
+            width = draw(st.sampled_from((1, 2))) if with_units else 2
+            variables = draw(
+                st.lists(st.integers(1, n), min_size=width, max_size=width, unique=True)
+            )
+            clauses.append([v if draw(st.booleans()) else -v for v in variables])
+        if with_units and not any(len(cl) == 1 for cl in clauses):
+            unit = [draw(st.integers(1, n)) * draw(st.sampled_from((1, -1)))]
+            clauses.insert(draw(st.integers(0, len(clauses))), unit)
+        return formula(clauses, n)
 
     return build()
 
@@ -116,6 +140,29 @@ class TestCompositionality:
         assert rep.status == COMPOSITIONAL
         assert rep.checked_seeds == 6001
         assert elapsed < 3.0, f"budget exceeded: {elapsed:.2f}s >= 3.0s"
+
+    @pytest.mark.parametrize("with_units", [False, True], ids=["unit-free", "units"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_lemma_matches_seedwise_oracle(self, with_units, data):
+        f = data.draw(narrow_cnf(with_units))
+        want = seedwise_compositionality(
+            [list(cl.literals) for cl in f.clauses], f.variable_count
+        )
+        assert check_compositionality(f).to_json_dict() == want
+        assert (want["status"] == NON_COMPOSITIONAL) == with_units
+
+    def test_long_unit_free_chain_within_budget(self):
+        # the seed-by-seed comparison walks a closure of up to n literals
+        # from each of the 2n+1 seeds; the lemma route propagates once
+        n = 4000
+        f = formula([[-i, i + 1] for i in range(1, n)], n)
+        start = time.monotonic()
+        rep = check_compositionality(f)
+        elapsed = time.monotonic() - start
+        assert rep.status == COMPOSITIONAL
+        assert rep.checked_seeds == 2 * n + 1
+        assert elapsed < 0.1, f"budget exceeded: {elapsed:.3f}s >= 0.1s"
 
     def test_report_guard(self):
         with pytest.raises(ValueError):

@@ -3,19 +3,21 @@ from __future__ import annotations
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
 
 import pytest
 
+from cdfsat import cli
 from cdfsat.formula import parse_dimacs
 
 CHAIN = "p cnf 3 2\n-1 2 0\n-2 3 0\n"
 WIDE = "p cnf 3 1\n-1 -2 3 0\n"
 
 
-def run_cli(*args, env_extra=None, stdin_text=None, binary=False):
+def run_cli(*args, env_extra=None, stdin_text=None, binary=False, **run_options):
     env = os.environ.copy()
     env.pop("CDFSAT_CAP", None)
     env.pop("CDFSAT_THETA", None)
@@ -27,7 +29,20 @@ def run_cli(*args, env_extra=None, stdin_text=None, binary=False):
         text=not binary,
         env=env,
         input=stdin_text,
+        **run_options,
     )
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def run_main(argv):
+    """Exit code of one in-process ``cli.main`` call, usage errors included."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 @pytest.fixture
@@ -242,6 +257,30 @@ class TestGrowth:
         assert proc.returncode == 2
         fit = json.loads(proc.stdout)["growth"]
         assert 28 in fit["failedN"]
+
+    @pytest.mark.parametrize("density", ["1e400", "100001"])
+    def test_clause_count_past_limit_exits_1(self, density):
+        # without the limit, 1e400 draws floor(density * n) clauses until
+        # memory gives out; the child gets 1 GiB and 20 s, so that such a
+        # regression fails here instead of starving the host
+        proc = run_cli(
+            "growth", "--k", "3", "--n", "4,5,6", "--density", density,
+            timeout=20, preexec_fn=_cap_address_space,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: cdfsat")
+        assert "more than 100000 clauses at n=6" in proc.stderr
+
+    def test_clause_limit_counts_the_largest_member(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "MAX_GROWTH_CLAUSES", 6)
+        args = ["growth", "--k", "2", "--n", "4,6,8", "--quiet", "--density"]
+        assert run_main(args + ["3/4"]) == 0  # 6 clauses at n=8
+        capsys.readouterr()
+        assert run_main(args + ["7/8"]) == 1  # 7 clauses at n=8
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith("error: --density gives more than 6 clauses at n=8\n")
 
 
 class TestEncode:
@@ -468,3 +507,20 @@ class TestUsage:
         proc = run_cli("--version")
         assert proc.returncode == 0
         assert "cdfsat" in proc.stdout
+
+    def test_main_calls_in_one_process_match_fresh_processes(
+        self, chain_file, capsys, monkeypatch
+    ):
+        # main reuses one parser for the whole process; a usage error or a
+        # report must leave nothing on it that changes a later call
+        monkeypatch.delenv("CDFSAT_CAP", raising=False)
+        monkeypatch.delenv("CDFSAT_THETA", raising=False)
+        monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap to the terminal
+        usage_error = ["analyze"]  # no input file
+        sequence = [usage_error, ["analyze", chain_file], usage_error, ["--version"]]
+        for argv, want_code in zip(sequence, [1, 0, 1, 0]):
+            code = run_main(argv)
+            out, err = capsys.readouterr()
+            assert code == want_code
+            fresh = run_cli(*argv, env_extra={"COLUMNS": "80"})
+            assert (out, err, code) == (fresh.stdout, fresh.stderr, fresh.returncode)

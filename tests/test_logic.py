@@ -14,7 +14,6 @@ from cdfsat.logic import (
     dpll_solve,
     implication_graph_to_dot,
     lit_text,
-    occurrence_index,
     propagate_closure,
     solve_2sat,
     trace_to_dot,
@@ -212,11 +211,10 @@ class TestUnitPropagate:
                 assert got.forced == want_forced
 
     @settings(max_examples=300, deadline=None)
-    @given(mixed_cnf_and_seed(), st.booleans())
-    def test_matches_rescan_oracle(self, case, shared_index):
+    @given(mixed_cnf_and_seed())
+    def test_matches_rescan_oracle(self, case):
         f, clause_lists, seed = case
-        index = occurrence_index(f) if shared_index else None
-        got = unit_propagate(f, {abs(l): l > 0 for l in seed}, index)
+        got = unit_propagate(f, {abs(l): l > 0 for l in seed})
         want_forced, want_steps, want_conflict = rescan_unit_propagate(clause_lists, seed)
         assert got.seed == frozenset(seed)
         assert got.forced == want_forced
@@ -228,18 +226,13 @@ class TestUnitPropagate:
         # clashing clause first, pass one still forces x4 and pass two finds
         # the clash; with it third, the clash ends pass one before x4
         f = formula([[-2, -3], [-1, 2], [-1, 3], [-1, 4]], 4)
-        got = unit_propagate(f, {1: True}, occurrence_index(f))
+        got = unit_propagate(f, {1: True})
         assert got.conflict == 3
         assert got.forced == {1, 2, 3, 4}
         f = formula([[-1, 2], [-1, 3], [-2, -3], [-1, 4]], 4)
-        got = unit_propagate(f, {1: True}, occurrence_index(f))
+        got = unit_propagate(f, {1: True})
         assert got.conflict == 3
         assert got.forced == {1, 2, 3}
-
-    def test_index_of_another_formula_rejected(self):
-        f = formula([[-1, 2]], 2)
-        with pytest.raises(ValueError):
-            unit_propagate(f, {1: True}, occurrence_index(formula([[-1, 2]], 2)))
 
     def test_json_shape(self):
         got = unit_propagate(formula([[1]], 1), {})
