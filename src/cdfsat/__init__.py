@@ -6,185 +6,10 @@ an executable compositionality comparison between the two, which grounds a
 three-way classification.  Graph-problem encoders and a checked
 natural-deduction kit round out the toolbox; the cli module exposes all of
 it as the ``cdfsat`` command.
+
+The public names live in the submodules ``formula``, ``semantics``, ``logic``,
+``analysis``, ``encoders``, ``proofs`` and ``cli``; importing the package
+alone loads none of them.
 """
 
-from .formula import (
-    Assignment,
-    Clause,
-    CnfFormula,
-    DimacsParseError,
-    DimacsWarning,
-    TautologicalClauseError,
-    clause,
-    formula,
-    generate_random_ksat,
-    parse_dimacs,
-    satisfies,
-    width_profile,
-    write_dimacs,
-)
-from .semantics import (
-    ENUMERATION_CAP,
-    MATERIALIZATION_CAP,
-    IntractableError,
-    SemanticImage,
-    clause_image,
-    clauses_variable_disjoint,
-    disjoint_lower_bound,
-    formula_image,
-    log2_count,
-)
-from .logic import (
-    HEURISTICS,
-    DerivationTrace,
-    ImplicationGraph,
-    PropagationClosure,
-    SolveResult,
-    WideClauseError,
-    build_implication_graph,
-    clause_to_implications,
-    dpll_solve,
-    implication_graph_to_dot,
-    propagate_closure,
-    solve_2sat,
-    trace_to_dot,
-    unit_propagate,
-)
-from .analysis import (
-    COM_CDF,
-    COMPOSITIONAL,
-    DEFAULT_THETA,
-    EXP_CDF,
-    EXPONENTIAL,
-    NON_COMPOSITIONAL,
-    POLYNOMIAL,
-    SEMI_EXP_CDF,
-    CdfClassification,
-    CompositionalityReport,
-    CompositionalityWitness,
-    GrowthFit,
-    GrowthSample,
-    check_compositionality,
-    classify,
-    fit_growth,
-    measure_growth,
-    wide_clause_fraction,
-    wide_clause_witness,
-)
-from .encoders import (
-    Encoding,
-    EulerianResult,
-    Graph,
-    GraphParseError,
-    encode_hamiltonian_cycle,
-    encode_perfect_matching,
-    eulerian_path_exists,
-    graph,
-    parse_graph,
-)
-from .proofs import (
-    DerivationCheck,
-    DerivationStep,
-    Proposition,
-    PropositionParseError,
-    TruthTable,
-    atoms,
-    check_derivation,
-    eval_proposition,
-    eval_truth_table,
-    parse_derivation_json,
-    parse_proposition,
-    semantic_cost,
-    syntactic_cost,
-    to_text,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    # formula
-    "Assignment",
-    "Clause",
-    "CnfFormula",
-    "DimacsParseError",
-    "DimacsWarning",
-    "TautologicalClauseError",
-    "clause",
-    "formula",
-    "generate_random_ksat",
-    "parse_dimacs",
-    "satisfies",
-    "width_profile",
-    "write_dimacs",
-    # semantics
-    "ENUMERATION_CAP",
-    "MATERIALIZATION_CAP",
-    "IntractableError",
-    "SemanticImage",
-    "clause_image",
-    "clauses_variable_disjoint",
-    "disjoint_lower_bound",
-    "formula_image",
-    "log2_count",
-    # logic
-    "HEURISTICS",
-    "DerivationTrace",
-    "ImplicationGraph",
-    "PropagationClosure",
-    "SolveResult",
-    "WideClauseError",
-    "build_implication_graph",
-    "clause_to_implications",
-    "dpll_solve",
-    "implication_graph_to_dot",
-    "propagate_closure",
-    "solve_2sat",
-    "trace_to_dot",
-    "unit_propagate",
-    # analysis
-    "COM_CDF",
-    "COMPOSITIONAL",
-    "DEFAULT_THETA",
-    "EXP_CDF",
-    "EXPONENTIAL",
-    "NON_COMPOSITIONAL",
-    "POLYNOMIAL",
-    "SEMI_EXP_CDF",
-    "CdfClassification",
-    "CompositionalityReport",
-    "CompositionalityWitness",
-    "GrowthFit",
-    "GrowthSample",
-    "check_compositionality",
-    "classify",
-    "fit_growth",
-    "measure_growth",
-    "wide_clause_fraction",
-    "wide_clause_witness",
-    # encoders
-    "Encoding",
-    "EulerianResult",
-    "Graph",
-    "GraphParseError",
-    "encode_hamiltonian_cycle",
-    "encode_perfect_matching",
-    "eulerian_path_exists",
-    "graph",
-    "parse_graph",
-    # proofs
-    "DerivationCheck",
-    "DerivationStep",
-    "Proposition",
-    "PropositionParseError",
-    "TruthTable",
-    "atoms",
-    "check_derivation",
-    "eval_proposition",
-    "eval_truth_table",
-    "parse_derivation_json",
-    "parse_proposition",
-    "semantic_cost",
-    "syntactic_cost",
-    "to_text",
-]

@@ -119,20 +119,17 @@ class CompositionalityReport:
         }
 
 
-def wide_clause_witness(f: CnfFormula, cl: Clause) -> CompositionalityWitness:
+def wide_clause_witness(cl: Clause) -> CompositionalityWitness:
     """Build the replayable witness for a width->=3 clause.
 
-    The assignment falsifies every literal but the last two, leaving the
-    clause a live disjunction: clause-level propagation forces nothing on
-    it, and there is no implication edge to follow at all.
+    The assignment falsifies every literal but the last two, which are on
+    distinct variables and stay unassigned: clause-level propagation forces
+    nothing on the clause, and there is no implication edge to follow at all.
     """
-    seed = frozenset(-lit for lit in cl.literals[:-2])
-    assignment = {abs(lit): lit > 0 for lit in seed}
-    closure = unit_propagate(CnfFormula((cl,), f.variable_count), assignment)
     return CompositionalityWitness(
         clause=cl,
-        assignment=seed,
-        gamma_forced=frozenset(closure.forced - closure.seed),
+        assignment=frozenset(-lit for lit in cl.literals[:-2]),
+        gamma_forced=frozenset(),
         beta_alpha_forced=None,
     )
 
@@ -152,7 +149,7 @@ def check_compositionality(f: CnfFormula) -> CompositionalityReport:
     for cl in f.clauses:
         if cl.width >= 3:
             return CompositionalityReport(
-                NON_COMPOSITIONAL, 0, wide_clause_witness(f, cl)
+                NON_COMPOSITIONAL, 0, wide_clause_witness(cl)
             )
     seeds = 2 * f.variable_count + 1
     for cl in f.clauses:

@@ -20,6 +20,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -70,6 +71,10 @@ ENV_THETA = "CDFSAT_THETA"
 # at the largest n; past it the command is a usage error
 MAX_GROWTH_CLAUSES = 100_000
 
+# the decimal exponent of a --density, e.g. the 400 of 1e400; Fraction turns
+# 10 to that power into an exact integer, so it is bounded while still text
+_DENSITY_EXPONENT = re.compile(r"e[-+]?([\d_]+)", re.IGNORECASE)
+
 
 class _Parser(argparse.ArgumentParser):
     # usage mistakes exit 1; argparse's stock behavior would exit 2,
@@ -94,6 +99,33 @@ def _resolve_cap(flag: int | None) -> int:
     # checked up front, so a bad cap is a usage error (exit 1) even in
     # growth, which reports a ValueError from measure_growth as exit 2
     return check_enumeration_cap(ENUMERATION_CAP if cap is None else cap)
+
+
+def _density(text: str) -> Fraction:
+    """argparse type of ``growth --density``: an exact Fraction that prints.
+
+    A decimal exponent outside +-4300 is refused before Fraction expands it,
+    and a numerator or denominator past Python's int-to-string limit before
+    the provenance prints it; either is a usage error.
+    """
+    exponent = _DENSITY_EXPONENT.search(text)
+    if exponent is not None:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > 4 or int(digits or "0") > 4300:
+            raise argparse.ArgumentTypeError(
+                f"exponent of {text!r} lies outside -4300..4300"
+            )
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+    limit = sys.get_int_max_str_digits()
+    for part in (value.numerator, value.denominator):
+        if limit and abs(part) >= 10**limit:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} has more than {limit} digits above or below the line"
+            )
+    return value
 
 
 def _resolve_theta(flag: float | None) -> float:
@@ -409,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="comma-separated sizes, e.g. 9,12,15")
     p.add_argument(
         "--density",
-        type=Fraction,
+        type=_density,
         default=Fraction(1),
         help="clauses per variable; m = floor(density*n) (fraction or decimal)",
     )

@@ -26,6 +26,14 @@ class GraphParseError(ValueError):
         super().__init__(message)
 
 
+def _check_edge(a: int, b: int, vertex_count: int) -> None:
+    """ValueError unless (a, b) joins two distinct vertices of 0..vertex_count-1."""
+    if a == b:
+        raise ValueError(f"self-loop at vertex {a}")
+    if not (0 <= a < vertex_count and 0 <= b < vertex_count):
+        raise ValueError(f"edge ({a},{b}) outside vertex range")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..vertex_count-1."""
@@ -40,10 +48,7 @@ class Graph:
             raise ValueError("vertex_count must be >= 0")
         normalized: set[tuple[int, int]] = set()
         for a, b in self.edges:
-            if a == b:
-                raise ValueError(f"self-loop at vertex {a}")
-            if not (0 <= a < self.vertex_count and 0 <= b < self.vertex_count):
-                raise ValueError(f"edge ({a},{b}) outside vertex range")
+            _check_edge(a, b, self.vertex_count)
             normalized.add((min(a, b), max(a, b)))
         object.__setattr__(self, "edges", frozenset(normalized))
         object.__setattr__(self, "_incident", {})
@@ -96,10 +101,10 @@ def parse_graph(text: str) -> Graph:
         except ValueError:
             raise GraphParseError(f"bad edge pair {line!r}", lineno) from None
         try:
-            edges.append((a, b))
-            Graph(vertex_count, frozenset([(a, b)]))  # validate range/self-loop early
+            _check_edge(a, b, vertex_count)
         except ValueError as exc:
             raise GraphParseError(str(exc), lineno) from None
+        edges.append((a, b))
     if vertex_count is None:
         raise GraphParseError("missing 'v <count>' header")
     return graph(vertex_count, edges)

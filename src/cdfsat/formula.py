@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -121,13 +121,6 @@ class CnfFormula:
         if self.variable_count == 0:
             return None
         return Fraction(self.clause_count, self.variable_count)
-
-    def variables(self) -> frozenset[int]:
-        """Variables actually occurring in some clause."""
-        out: set[int] = set()
-        for cl in self.clauses:
-            out.update(abs(lit) for lit in cl)
-        return frozenset(out)
 
 
 def formula(clause_lists: Iterable[Iterable[int]], variable_count: int) -> CnfFormula:

@@ -137,15 +137,6 @@ class ImplicationGraph:
         edge_count = sum(len(vs) for vs in self._adj.values())
         return f"ImplicationGraph(n={self.variable_count}, edges={edge_count})"
 
-    def to_json_dict(self) -> dict:
-        # literals() and successors() are both in canonical literal order
-        return {
-            "variableCount": self.variable_count,
-            "edges": [
-                {"from": u, "to": v} for u in self.literals() for v in self.successors(u)
-            ],
-        }
-
 
 def build_implication_graph(f: CnfFormula) -> ImplicationGraph:
     """Union of the implication forms of every clause (all widths <= 2)."""
@@ -175,17 +166,6 @@ class PropagationClosure:
     forced: frozenset[int]
     steps: tuple[PropagationStep, ...]
     conflict: int | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "seed": sorted(self.seed, key=_lit_key),
-            "forced": sorted(self.forced, key=_lit_key),
-            "steps": [
-                {"from": s.source, "rule": s.rule, "to": s.literal}
-                for s in self.steps
-            ],
-            "conflict": self.conflict,
-        }
 
 
 def propagate_closure(g: ImplicationGraph, seed: Iterable[int]) -> PropagationClosure:

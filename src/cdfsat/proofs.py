@@ -4,8 +4,10 @@ The derivation checker tracks assumption dependencies the classical way:
 an assumption depends on itself, rules union the dependencies of what they
 cite, and conditional introduction discharges one assumption.  A derivation
 proves its goal only when the last line carries no open assumptions.  The
-two cost notions the package compares live here too: semantic cost is the
-full truth-table size, syntactic cost is the line count of a derivation.
+package compares two cost notions.  Semantic cost, the full truth-table
+size, is ``semantic_cost``.  Syntactic cost, the line count of a valid
+derivation, is computed by ``cdfsat prove`` from the ``check_derivation``
+result it already has.
 """
 
 from __future__ import annotations
@@ -460,12 +462,3 @@ def format_derivation(
             dep = " {" + ", ".join(str(d) for d in sorted(deps[i - 1])) + "}"
         lines.append(f"{i}. {to_text(step.formula)}  [{step.rule}{refs}]{dep}")
     return "\n".join(lines)
-
-
-def syntactic_cost(
-    steps: tuple[DerivationStep, ...] | list[DerivationStep],
-    goal: Proposition,
-) -> int | None:
-    """Line count of the derivation when it validly proves goal, else None."""
-    check = check_derivation(steps, goal)
-    return len(tuple(steps)) if check.valid else None

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formula import Assignment, Clause, CnfFormula
+from .formula import Clause, CnfFormula
 
 ENUMERATION_CAP = 26
 # the sweep numbers the 2^n assignments with uint64 indices (64 * word + bit,
@@ -99,32 +99,6 @@ class SemanticImage:
     def __post_init__(self) -> None:
         if self.assignments is not None and len(self.assignments) != self.count:
             raise ValueError("materialized assignment count disagrees with count")
-
-    def assignment_at(self, i: int) -> Assignment:
-        """Decode the i-th materialized assignment to a variable->bool dict."""
-        if self.assignments is None:
-            raise ValueError("image is count-only; no materialized assignments")
-        mask = self.assignments[i]
-        k = len(self.scope)
-        return {v: bool((mask >> (k - 1 - j)) & 1) for j, v in enumerate(self.scope)}
-
-    def to_text(self) -> str:
-        """Canonical listing: one 0/1 row per assignment, scope in index order."""
-        if self.assignments is None:
-            raise ValueError("image is count-only; no materialized assignments")
-        k = len(self.scope)
-        return "\n".join(format(mask, f"0{k}b") for mask in self.assignments) + "\n"
-
-    def to_json_dict(self) -> dict:
-        out: dict = {
-            "scope": list(self.scope),
-            "count": self.count,
-            "representation": self.representation,
-        }
-        if self.assignments is not None:
-            k = len(self.scope)
-            out["assignments"] = [format(m, f"0{k}b") for m in self.assignments]
-        return out
 
 
 def clauses_variable_disjoint(f: CnfFormula) -> bool:

@@ -127,9 +127,11 @@ class TestCompositionality:
 
     def test_witness_seed_shape(self):
         cl = clause(1, -2, 3, 4)
-        w = wide_clause_witness(formula([list(cl.literals)], 4), cl)
-        # all but the last two literals are made false
+        w = wide_clause_witness(cl)
+        # all but the last two literals are made false, which forces nothing
         assert w.assignment == {-1, 2}
+        assert w.gamma_forced == frozenset()
+        assert w.beta_alpha_forced is None
 
     def test_long_pairs_formula_within_budget(self):
         # 1500 independent clauses, 6001 seeds: each seed touches one clause

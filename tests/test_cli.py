@@ -272,6 +272,33 @@ class TestGrowth:
         assert proc.stderr.startswith("usage: cdfsat")
         assert "more than 100000 clauses at n=6" in proc.stderr
 
+    @pytest.mark.parametrize("density", ["1e-5000", "1e3000000", "1e-30000000", "1/0"])
+    def test_unparsable_density_exits_1(self, density):
+        # Fraction expands a decimal exponent into an exact integer: 1e3000000
+        # took seconds to parse, 1e-30000000 most of a minute, and 1e-5000
+        # failed later on Python's int-to-string limit; 1/0 was a traceback
+        proc = run_cli(
+            "growth", "--k", "3", "--n", "4,5,6", "--density", density,
+            timeout=20, preexec_fn=_cap_address_space,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: cdfsat")
+        assert "error: argument --density: " in proc.stderr
+        assert "Exceeds the limit" not in proc.stderr
+
+    def test_density_digits_stop_at_int_string_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        args = ["growth", "--k", "2", "--n", "4,6,8", "--quiet", "--density"]
+        # 10**(limit - 1) has exactly `limit` digits, 10**limit one more
+        assert run_main(args + [f"1e-{limit - 1}"]) == 0
+        out, _ = capsys.readouterr()
+        assert json.loads(out)["provenance"]["config"]["density"] == f"1/1{'0' * (limit - 1)}"
+        assert run_main(args + [f"1e-{limit}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"has more than {limit} digits above or below the line\n")
+
     def test_clause_limit_counts_the_largest_member(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "MAX_GROWTH_CLAUSES", 6)
         args = ["growth", "--k", "2", "--n", "4,6,8", "--quiet", "--density"]

@@ -71,10 +71,16 @@ class TestParseGraph:
             parse_graph("v 3\n0 1 2\n")
         assert exc.value.line == 2
 
-    def test_out_of_range_edge_reports_line(self):
+    @pytest.mark.parametrize(
+        "edge, message",
+        [("1 5", "edge (1,5) outside vertex range"), ("1 1", "self-loop at vertex 1")],
+        ids=["out-of-range", "self-loop"],
+    )
+    def test_bad_edge_reports_line(self, edge, message):
         with pytest.raises(GraphParseError) as exc:
-            parse_graph("v 2\n0 1\n1 5\n")
+            parse_graph(f"v 2\n0 1\n{edge}\n")
         assert exc.value.line == 3
+        assert str(exc.value) == f"line 3: {message}"
 
     def test_fixture_files(self, data_dir):
         k4 = parse_graph((data_dir / "k4.graph").read_text())

@@ -57,7 +57,6 @@ class TestCnfFormula:
         assert f.clause_count == 2
         assert f.max_width == 2
         assert f.density == Fraction(2, 3)
-        assert f.variables() == {1, 2, 3}
 
     def test_width_profile(self):
         f = formula([[1], [-1, 2], [-1, -2, 3], [1, 2, 3]], 3)

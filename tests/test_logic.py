@@ -112,13 +112,6 @@ class TestImplicationGraph:
         with pytest.raises(WideClauseError):
             build_implication_graph(formula([[1, 2, 3]], 3))
 
-    def test_json_shape(self):
-        g = build_implication_graph(formula([[-1, 2]], 2))
-        d = g.to_json_dict()
-        assert d["variableCount"] == 2
-        assert {"from": 1, "to": 2} in d["edges"]
-        assert {"from": -2, "to": -1} in d["edges"]
-
 
 class TestPropagateClosure:
     def test_chain_from_x(self):
@@ -233,16 +226,6 @@ class TestUnitPropagate:
         got = unit_propagate(f, {1: True})
         assert got.conflict == 3
         assert got.forced == {1, 2, 3}
-
-    def test_json_shape(self):
-        got = unit_propagate(formula([[1]], 1), {})
-        d = got.to_json_dict()
-        assert d == {
-            "seed": [],
-            "forced": [1],
-            "steps": [{"from": 1, "rule": "unit", "to": 1}],
-            "conflict": None,
-        }
 
 
 class TestSolve2Sat:

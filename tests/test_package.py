@@ -1,0 +1,67 @@
+from __future__ import annotations
+
+import ast
+import importlib
+import re
+import types
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_formula_submodule_is_not_shadowed():
+    import cdfsat.formula as F
+
+    assert isinstance(F, types.ModuleType)
+    assert F is importlib.import_module("cdfsat.formula")
+    assert F.formula([[1, -2]], 2).clause_count == 1
+
+
+def _quick_tour() -> str:
+    section = README.read_text(encoding="utf-8").split("## Quick tour", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def _stated_value(comment: str):
+    """The longest prefix of a comment that is a Python literal."""
+    for end in range(len(comment), 0, -1):
+        try:
+            return ast.literal_eval(comment[:end])
+        except (SyntaxError, ValueError):
+            continue
+    raise AssertionError(f"no stated value in comment {comment!r}")
+
+
+def _claims(block: str) -> list[tuple[str, str]]:
+    """(expression, comment) for each bare expression line of the block.
+
+    The comment is the line's own ``#`` comment, or else the comment-only
+    lines right below it, joined.
+    """
+    lines = block.splitlines()
+    claims = []
+    for i, line in enumerate(lines):
+        code, _, comment = line.partition("#")
+        code = code.strip()
+        if not code or not isinstance(ast.parse(code).body[0], ast.Expr):
+            continue
+        if not comment:
+            below = []
+            for follow in lines[i + 1:]:
+                if not follow.lstrip().startswith("#"):
+                    break
+                below.append(follow.lstrip()[1:])
+            comment = " ".join(below)
+        if comment.strip():
+            claims.append((code, comment.strip()))
+    return claims
+
+
+def test_readme_quick_tour_runs_and_its_stated_values_hold():
+    block = _quick_tour()
+    namespace: dict = {}
+    exec(block, namespace)
+    claims = _claims(block)
+    assert len(claims) == 8
+    for code, comment in claims:
+        assert eval(code, namespace) == _stated_value(comment), code

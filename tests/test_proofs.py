@@ -23,7 +23,6 @@ from cdfsat.proofs import (
     parse_derivation_json,
     parse_proposition,
     semantic_cost,
-    syntactic_cost,
     to_text,
 )
 
@@ -297,11 +296,6 @@ class TestDerivationChecker:
     def test_empty_derivation(self):
         check = check_derivation(())
         assert not check.valid
-
-    def test_syntactic_cost(self):
-        goal = Implies(A, Implies(B, A))
-        assert syntactic_cost(weakening_steps(), goal) == 5
-        assert syntactic_cost(weakening_steps()[:-1], goal) is None
 
     def test_format_derivation_lists_dependencies(self):
         goal = Implies(A, Implies(B, A))

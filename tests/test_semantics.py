@@ -118,10 +118,6 @@ class TestFormulaImage:
         assert img.representation == ENUMERATED
         assert list(img.assignments) == [0b000, 0b001, 0b011, 0b111]
 
-    def test_to_text_rows(self):
-        f = formula([[-1, 2], [-2, 3]], 3)
-        assert formula_image(f).to_text() == "000\n001\n011\n111\n"
-
     def test_unsat_formula_empty_image(self):
         f = formula([[1], [-1]], 1)
         img = formula_image(f)
@@ -223,20 +219,6 @@ class TestFormulaImage:
         f = formula([[1, 70], [1, -70], [2, 3]], 70)
         with pytest.raises(ValueError, match="enumeration cap"):
             formula_image(f, enumeration_cap=cap, materialization_cap=0)
-
-    def test_assignment_decoding(self):
-        f = formula([[-1, 2], [-2, 3]], 3)
-        img = formula_image(f)
-        assert img.assignment_at(3) == {1: True, 2: True, 3: True}
-
-    def test_json_shape(self):
-        img = formula_image(formula([[1]], 1))
-        assert img.to_json_dict() == {
-            "scope": [1],
-            "count": 1,
-            "representation": "enumerated",
-            "assignments": ["1"],
-        }
 
 
 class TestLog2Count:
