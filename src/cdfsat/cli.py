@@ -71,6 +71,10 @@ ENV_THETA = "CDFSAT_THETA"
 # at the largest n; past it the command is a usage error
 MAX_GROWTH_CLAUSES = 100_000
 
+# the largest `growth --n` size: 2^14000 has 4215 digits, so every exact
+# imageSize stays under Python's 4300-digit int-to-string limit
+MAX_GROWTH_VARIABLES = 14_000
+
 # the decimal exponent of a --density, e.g. the 400 of 1e400; Fraction turns
 # 10 to that power into an exact integer, so it is bounded while still text
 _DENSITY_EXPONENT = re.compile(r"e[-+]?([\d_]+)", re.IGNORECASE)
@@ -251,6 +255,8 @@ def _parse_n_list(text: str, parser: argparse.ArgumentParser) -> list[int]:
         parser.error("--n sizes must be strictly increasing")
     if values[0] < 1:
         parser.error("--n sizes must be >= 1")
+    if values[-1] > MAX_GROWTH_VARIABLES:
+        parser.error(f"--n sizes must be <= {MAX_GROWTH_VARIABLES}")
     return values
 
 

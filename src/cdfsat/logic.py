@@ -27,11 +27,14 @@ form and is recorded the way the search actually justifies it, as a
 refutation pair: a conflict leaf for the excluded value followed by the
 forced branch.  That is what makes backtrack counters an observable
 difference between narrow and wide formulas instead of an informal claim.
-The search itself is one loop over an explicit stack of open decisions,
-and the trace is a tree stored flat, as parallel per-node lists (parent,
-kind, variable, value, leaf) in depth-first preorder, so searching,
-counting, measuring and rendering are loops with no recursion, however
-deep the search goes.
+The search itself is one loop over an explicit stack of open decisions.
+Besides that stack it keeps only the assignment, whose insertion order is
+the trail, and the queue of literals still to propagate; clauses are
+checked against the assignment when visited, and the search is SAT once no
+unassigned variable occurs in an unsatisfied clause.  The trace is a tree
+stored flat, as parallel per-node lists (parent, kind, variable, value,
+leaf) in depth-first preorder, so searching, counting, measuring and
+rendering are loops with no recursion, however deep the search goes.
 """
 
 from __future__ import annotations
@@ -202,21 +205,13 @@ def propagate_closure(g: ImplicationGraph, seed: Iterable[int]) -> PropagationCl
     return PropagationClosure(seed_set, frozenset(forced), tuple(steps), conflict)
 
 
-@dataclass(frozen=True, eq=False)
-class OccurrenceIndex:
-    """Where each literal occurs in one formula, for event-driven propagation.
+def occurrence_index(f: CnfFormula) -> tuple[dict[int, list[int]], tuple[int, ...]]:
+    """Where each literal occurs in ``f``, for event-driven propagation.
 
-    ``occurrences`` maps a literal to the ascending indices of the clauses
-    that contain it; ``units`` lists the indices of the width-1 clauses in
-    ascending order.
+    Returns the occurrence lists, which map a literal to the ascending
+    indices of the clauses that contain it, and the indices of the width-1
+    clauses in ascending order.
     """
-
-    occurrences: dict[int, list[int]]
-    units: tuple[int, ...]
-
-
-def occurrence_index(f: CnfFormula) -> OccurrenceIndex:
-    """Build the occurrence lists and the unit-clause list of ``f``."""
     occ: dict[int, list[int]] = {}
     units: list[int] = []
     for idx, cl in enumerate(f.clauses):
@@ -225,7 +220,7 @@ def occurrence_index(f: CnfFormula) -> OccurrenceIndex:
             units.append(idx)
         for lit in lits:
             occ.setdefault(lit, []).append(idx)
-    return OccurrenceIndex(occ, tuple(units))
+    return occ, tuple(units)
 
 
 def unit_propagate(f: CnfFormula, assignment: Assignment) -> PropagationClosure:
@@ -251,15 +246,14 @@ def unit_propagate(f: CnfFormula, assignment: Assignment) -> PropagationClosure:
     for var in assignment:
         if var < 1 or var > f.variable_count:
             raise ValueError(f"assigned variable {var} outside variable range")
-    index = occurrence_index(f)
-    occ = index.occurrences
+    occ, units = occurrence_index(f)
     clauses = f.clauses
     seed_set = frozenset(v if val else -v for v, val in assignment.items())
     forced: set[int] = set(seed_set)
     order: dict[int, int] = {lit: i for i, lit in enumerate(sorted(seed_set, key=_lit_key))}
     steps: list[PropagationStep] = []
     conflict: int | None = None
-    later: set[int] = set(index.units)
+    later: set[int] = set(units)
     for lit in seed_set:
         later.update(occ.get(-lit, ()))
     while later and conflict is None:
@@ -441,9 +435,6 @@ class DerivationTrace:
             depths[i] = depths[self.parents[i]] + 1
         return max(depths)
 
-    def conflict_count(self) -> int:
-        return self.leaves.count("UNSAT")
-
     def to_json_dict(self) -> dict:
         out = self.result.to_json_dict()
         del out["witnessVariable"]
@@ -465,19 +456,13 @@ class _DpllSearch:
         self.f = f
         self.clauses = [cl.literals for cl in f.clauses]
         self.heuristic = heuristic
-        index = occurrence_index(f)
-        self.occ = index.occurrences
-        self.units = index.units
+        self.occ, self.units = occurrence_index(f)
         # decision order: the heuristic's choice is the first candidate in it
         self.order = list(range(1, f.variable_count + 1))
         if heuristic == "most-occurrences":
             # stable sort: ties keep ascending index
             self.order.sort(key=lambda v: -len(self.occ.get(v, ())) - len(self.occ.get(-v, ())))
-        self.assign: Assignment = {}
-        self.trail: list[int] = []
-        self.sat_flag = [False] * len(self.clauses)
-        self.sat_trail: list[int] = []
-        self.sat_count = 0
+        self.assign: Assignment = {}  # insertion order is the trail
         self.pending: deque[int] = deque()
         self.branch_count = 0
         self.conflict_seen = 0
@@ -500,22 +485,8 @@ class _DpllSearch:
         return len(self.parents) - 1
 
     def _set_literal(self, lit: int) -> None:
-        var = abs(lit)
-        self.assign[var] = lit > 0
-        self.trail.append(var)
+        self.assign[abs(lit)] = lit > 0
         self.pending.append(lit)
-        for idx in self.occ.get(lit, ()):
-            if not self.sat_flag[idx]:
-                self.sat_flag[idx] = True
-                self.sat_count += 1
-                self.sat_trail.append(idx)
-
-    def _undo_to(self, mark_assign: int, mark_sat: int) -> None:
-        while len(self.trail) > mark_assign:
-            del self.assign[self.trail.pop()]
-        while len(self.sat_trail) > mark_sat:
-            self.sat_flag[self.sat_trail.pop()] = False
-            self.sat_count -= 1
 
     def _note_conflict(self, tip: int) -> None:
         """Mark node ``tip`` as an UNSAT leaf and count the conflict."""
@@ -563,8 +534,6 @@ class _DpllSearch:
                 visit = (units[next_unit],)
                 next_unit += 1
             for idx in visit:
-                if self.sat_flag[idx]:
-                    continue
                 state = self._clause_state(idx)
                 if state is None:
                     continue
@@ -577,54 +546,65 @@ class _DpllSearch:
 
     # -- branching ------------------------------------------------------
 
-    def _pick_variable(self, start: int) -> int:
+    def _pick_variable(self, start: int) -> int | None:
         """Position in ``order`` of the first unassigned variable that occurs
-        in an unsatisfied clause, looking from ``start`` on.
+        in an unsatisfied clause, looking from ``start`` on, or None when
+        every clause is satisfied.  The search picks only after propagating
+        without conflict, so an unsatisfied clause has two unassigned
+        literals: "no candidate" and "all satisfied" are the same condition.
 
         ``start`` is where the parent level's choice was found: every
         variable before it was then assigned or in satisfied clauses only,
         and deeper in the search both the assignment and the satisfied
-        clauses only grow.
+        clauses only grow.  The clauses found satisfied are remembered for
+        the call, so a wide clause is scanned once, not once per variable.
         """
-        pos = start
-        while True:
+        assign, occ, clauses = self.assign, self.occ, self.clauses
+        satisfied: set[int] = set()
+        for pos in range(start, len(self.order)):
             var = self.order[pos]
-            if var not in self.assign and not all(
-                self.sat_flag[idx] for lit in (var, -var) for idx in self.occ.get(lit, ())
-            ):
-                return pos
-            pos += 1
+            if var in assign:
+                continue
+            for lit in (var, -var):
+                for idx in occ.get(lit, ()):
+                    if idx in satisfied:
+                        continue
+                    if not any(assign.get(abs(l)) == (l > 0) for l in clauses[idx]):
+                        return pos
+                    satisfied.add(idx)
+        return None
 
     def _search(self) -> bool:
         """Depth-first search over an explicit stack of open decisions.
 
-        A frame is (literal tried, parent node, trail marks before the
-        literal, order position of its variable).  The true value is tried
+        A frame is (literal tried, parent node, size of the assignment before
+        the literal, order position of its variable).  The true value is tried
         first, so a negative literal means both values have been tried.  On
         a conflict the loop drops those frames and flips the newest
         remaining one; the search is UNSAT when none remains.
         """
-        frames: list[tuple[int, int, int, int, int]] = []
+        frames: list[tuple[int, int, int, int]] = []
         tip = self._propagate(0, self.units)
-        pos = 0
+        pos: int | None = 0
         while True:
             if tip is not None:
-                if self.sat_count == len(self.clauses):
+                pos = self._pick_variable(pos)
+                if pos is None:
                     self.leaves[tip] = "SAT"
                     return True  # the assignment is left in place as the model
-                pos = self._pick_variable(pos)
                 lit, parent = self.order[pos], tip
-                frames.append((lit, parent, len(self.trail), len(self.sat_trail), pos))
+                frames.append((lit, parent, len(self.assign), pos))
             else:
                 while frames and frames[-1][0] < 0:
                     frames.pop()
                 if not frames:
                     return False
-                lit, parent, mark_assign, mark_sat, pos = frames[-1]
-                self._undo_to(mark_assign, mark_sat)
+                lit, parent, mark, pos = frames[-1]
+                while len(self.assign) > mark:
+                    self.assign.popitem()
                 self.branch_count += 1
                 lit = -lit
-                frames[-1] = (lit, parent, mark_assign, mark_sat, pos)
+                frames[-1] = (lit, parent, mark, pos)
             node = self._node(parent, "decision", lit)
             self._set_literal(lit)
             tip = self._propagate(node)

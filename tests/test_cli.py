@@ -272,6 +272,29 @@ class TestGrowth:
         assert proc.stderr.startswith("usage: cdfsat")
         assert "more than 100000 clauses at n=6" in proc.stderr
 
+    def test_size_past_limit_exits_1(self):
+        # without the limit, the disjoint family deals all 2*10^6 variables
+        # (seconds and over 100 MiB) and then fails on Python's 4300-digit
+        # int-to-string limit when the report prints 2^(n-1)
+        proc = run_cli(
+            "growth", "--k", "1", "--n", "1,2,2000000", "--density", "1/2000000",
+            "--disjoint", "--quiet", timeout=20, preexec_fn=_cap_address_space,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: cdfsat")
+        assert "error: --n sizes must be <= 14000" in proc.stderr
+        assert "Exceeds the limit" not in proc.stderr
+
+    def test_largest_size_prints_exact_image(self, capsys):
+        args = ["growth", "--k", "1", "--n", "1,2,14000", "--density", "1/14000",
+                "--disjoint", "--quiet"]
+        assert run_main(args) == 0
+        out, _ = capsys.readouterr()
+        samples = json.loads(out)["growth"]["samples"]
+        assert samples[-1]["n"] == 14000
+        assert samples[-1]["imageSize"] == 2**13999
+
     @pytest.mark.parametrize("density", ["1e-5000", "1e3000000", "1e-30000000", "1/0"])
     def test_unparsable_density_exits_1(self, density):
         # Fraction expands a decimal exponent into an exact integer: 1e3000000

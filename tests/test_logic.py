@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -282,7 +284,7 @@ class TestDpll:
         assert res.satisfiable
         assert tr.backtrack_count == 0
         assert tr.branch_count == 0
-        assert tr.conflict_count() == 0
+        assert tr.leaves.count("UNSAT") == 0
         # linear chain: decision on x, then propagation of y and z
         assert tr.parents == [-1, 0, 1, 2]
         assert tr.kinds == ["root", "decision", "propagation", "propagation"]
@@ -292,7 +294,7 @@ class TestDpll:
         f = formula([[-1, -2, 3]], 3)
         res, tr = dpll_solve(f)
         assert res.satisfiable
-        assert tr.conflict_count() == 1
+        assert tr.leaves.count("UNSAT") == 1
         assert tr.branch_count == 1
         assert tr.backtrack_count == 1
         # the only UNSAT leaf sits at x=T, y=T, z=F
@@ -308,7 +310,7 @@ class TestDpll:
     def test_unit_contradiction(self):
         res, tr = dpll_solve(formula([[1], [-1]], 1))
         assert not res.satisfiable
-        assert tr.conflict_count() == 1
+        assert tr.leaves.count("UNSAT") == 1
         assert tr.backtrack_count == 0
         assert tr.branch_count == 0
 
@@ -316,7 +318,7 @@ class TestDpll:
         f = parse_dimacs((data_dir / "unsat_pair.cnf").read_text())
         res, tr = dpll_solve(f)
         assert not res.satisfiable
-        assert tr.conflict_count() == 2  # both x branches die
+        assert tr.leaves.count("UNSAT") == 2  # both x branches die
         assert tr.backtrack_count == 1
         assert tr.branch_count == 1
 
@@ -350,9 +352,9 @@ class TestDpll:
             assert satisfies(f, res.model)
         assert tr.branch_count >= tr.backtrack_count
         if res.satisfiable:
-            assert tr.backtrack_count == tr.conflict_count()
+            assert tr.backtrack_count == tr.leaves.count("UNSAT")
         else:
-            assert tr.backtrack_count == max(0, tr.conflict_count() - 1)
+            assert tr.backtrack_count == max(0, tr.leaves.count("UNSAT") - 1)
 
     @settings(max_examples=100, deadline=None)
     @given(random_3cnf(), st.sampled_from(HEURISTICS))
@@ -414,6 +416,18 @@ class TestDpll:
     def test_agrees_with_2sat_solver(self, f):
         res, _ = dpll_solve(f)
         assert res.satisfiable == solve_2sat(f).satisfiable
+
+    @pytest.mark.parametrize("heuristic", HEURISTICS)
+    def test_wide_clause_pick_within_budget(self, heuristic):
+        # after x1 = true satisfies the one 8000-literal clause, the pick
+        # finds no candidate among the other 7999 variables; checking the
+        # clause once per variable instead of once per pick took seconds
+        f = formula([list(range(8000, 0, -1))], 8000)
+        start = time.perf_counter()
+        res, tr = dpll_solve(f, heuristic=heuristic)
+        assert time.perf_counter() - start < 0.5
+        assert res.satisfiable
+        assert tr.node_count() == 2
 
     def test_trace_counters_in_json(self):
         _, tr = dpll_solve(formula([[-1, -2, 3]], 3))

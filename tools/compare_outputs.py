@@ -1,0 +1,124 @@
+"""Check that another checkout gives the same output on every benchmark command.
+
+    python3 tools/compare_outputs.py OTHER_CHECKOUT [--seeds 7,3]
+
+Run from anywhere; OTHER_CHECKOUT is the root of another copy of this
+repository, typically the parent commit.  The command lists of both
+workloads (``count-narrow`` and ``search``) are built once, for every seed,
+from this checkout's ``perfbench/workloads.py``.  Each checkout then runs
+all of them in-process through its own ``cdfsat.cli.main``, in one
+subprocess per checkout, with stdin, stdout and stderr held in memory; a
+piped command reads the stdout of its source command in the same
+checkout.  The tool prints how many commands gave the same stdout, stderr
+and exit code in both, and the label of each that did not.  It exits 1 on
+any difference and 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("count-narrow", "search")
+
+
+def _import_cli(src: Path):
+    """Import ``cdfsat.cli`` from ``src``, and only from there."""
+    sys.path.insert(0, str(src))
+    import cdfsat.cli
+
+    if Path(cdfsat.cli.__file__).resolve().parent.parent != src:
+        raise SystemExit(f"compare_outputs: cdfsat must come from {src}, "
+                         f"got {cdfsat.cli.__file__}")
+    return cdfsat.cli
+
+
+def _run_one(cli, argv: list[str], stdin_text: str) -> tuple[str, str, str]:
+    """stdout, stderr and outcome (exit code, or the exception raised)."""
+    out, err = io.StringIO(), io.StringIO()
+    saved_stdin = sys.stdin
+    sys.stdin = io.StringIO(stdin_text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                outcome = f"exit {cli.main(argv)}"
+            except SystemExit as exc:  # argparse usage errors
+                outcome = f"exit {exc.code}"
+            except Exception as exc:  # the command crashed: that is its output
+                outcome = f"raised {type(exc).__name__}"
+    finally:
+        sys.stdin = saved_stdin
+    return out.getvalue(), err.getvalue(), outcome
+
+
+def _child(checkout: Path) -> None:
+    """Run the command lists read from stdin through ``checkout``'s
+    ``cdfsat``; write one digest per command."""
+    cli = _import_cli((checkout / "src").resolve())
+    results = []
+    for commands in json.load(sys.stdin):
+        stdouts: dict[int, str] = {}
+        for i, (argv, stdin_text, pipe_from) in enumerate(commands):
+            if pipe_from is not None:
+                stdin_text = stdouts[pipe_from]
+            out, err, outcome = _run_one(cli, argv, stdin_text or "")
+            stdouts[i] = out
+            results.append([hashlib.sha256(out.encode()).hexdigest(),
+                            hashlib.sha256(err.encode()).hexdigest(), outcome])
+    json.dump(results, sys.stdout)
+
+
+def _results(checkout: Path, payload: str) -> list[list[str]]:
+    if not (checkout / "src" / "cdfsat" / "cli.py").is_file():
+        raise SystemExit(f"compare_outputs: no cdfsat package under {checkout / 'src'}")
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), str(checkout), "--child"],
+        input=payload, capture_output=True, text=True, check=False,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"compare_outputs: the run of {checkout} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("other", type=Path, help="root of the checkout to compare with")
+    parser.add_argument("--seeds", default="7,3", help="comma-separated workload seeds")
+    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        _child(args.other)
+        return 0
+
+    sys.dont_write_bytecode = True  # leave this checkout's perfbench/ as it is
+    _import_cli((ROOT / "src").resolve())
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    seeds = [int(s) for s in args.seeds.split(",")]
+    runs = [(w, s, workloads.build(w, s)) for w in WORKLOADS for s in seeds]
+    payload = json.dumps([[[list(c.argv), c.stdin, c.pipe_from] for c in commands]
+                          for _, _, commands in runs])
+    here, other = _results(ROOT, payload), _results(args.other, payload)
+    labels = [(w, s, c.label) for w, s, commands in runs for c in commands]
+    same = 0
+    for (workload, seed, label), mine, theirs in zip(labels, here, other):
+        if mine == theirs:
+            same += 1
+            continue
+        parts = [part for part, a, b in zip(("stdout", "stderr", "exit code"), mine, theirs)
+                 if a != b]
+        print(f"differs: {workload} seed {seed}: {label} ({', '.join(parts)})")
+    print(f"{same}/{len(labels)} commands identical in stdout, stderr and exit code")
+    return 0 if same == len(labels) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
