@@ -30,9 +30,11 @@ clauses.  The seed-by-seed comparison itself lives in the test oracles
 
 Growth measurement samples exact image sizes over a formula family and fits
 log2(size) against n (exponential model) and against log2(n) (polynomial
-model) by least squares; the model with the smaller squared residual is
-preferred and the exponential slope is also reported as a per-variable
-branching base, 2^slope.
+model) by least squares.  Each fit runs in exact rational arithmetic on the
+float inputs and is rounded once at the end, so the residuals are compared
+exactly: the model with the smaller squared residual is preferred, a tie
+going to the exponential one.  The exponential slope is also reported as a
+per-variable branching base, 2^slope.
 
 Classification combines the two: compositional formulas are ComCDF;
 otherwise the fraction of variables touched by wide clauses decides between
@@ -43,10 +45,10 @@ non-compositional formula only raises a tension flag.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Sequence
-
-import numpy as np
 
 from .formula import Clause, CnfFormula
 # build_implication_graph and propagate_closure are not called here; they stay
@@ -228,30 +230,47 @@ class GrowthFit:
         return "\n".join(lines) + "\n"
 
 
+def _least_squares(
+    xs: Iterable[float], ys: Iterable[float]
+) -> tuple[Fraction, Fraction]:
+    """Slope and sum of squared residuals of the least-squares line.
+
+    Exact: every float enters as its own Fraction, so nothing is rounded
+    until the caller converts the result.  ValueError when all xs are equal.
+    """
+    x = [Fraction(v) for v in xs]
+    y = [Fraction(v) for v in ys]
+    m, sx, sy = len(x), sum(x), sum(y)
+    spread = m * sum(v * v for v in x) - sx * sx
+    if spread == 0:
+        raise ValueError("need at least 2 distinct sample sizes to fit growth")
+    slope = (m * sum(a * b for a, b in zip(x, y)) - sx * sy) / spread
+    intercept = (sy - slope * sx) / m
+    return slope, sum((b - slope * a - intercept) ** 2 for a, b in zip(x, y))
+
+
 def fit_growth(
     samples: Sequence[GrowthSample], failed_n: Iterable[int] = ()
 ) -> GrowthFit:
-    """Fit the two growth models to already-measured samples."""
+    """Fit the two growth models to already-measured samples.
+
+    Both fits are exact and rounded once; a residual tie prefers Exponential.
+    """
     if len(samples) < 2:
         raise ValueError("need at least 2 measured samples to fit growth")
-    ns = np.array([s.n for s in samples], dtype=float)
-    bits = np.array([s.log_image_bits for s in samples], dtype=float)
-    if np.any(ns < 1):
+    if any(s.n < 1 for s in samples):
         raise ValueError("sample sizes must be >= 1")
-    exp_slope, exp_icept = np.polyfit(ns, bits, 1)
-    exp_res = float(np.sum((bits - (exp_slope * ns + exp_icept)) ** 2))
-    log_ns = np.log2(ns)
-    poly_slope, poly_icept = np.polyfit(log_ns, bits, 1)
-    poly_res = float(np.sum((bits - (poly_slope * log_ns + poly_icept)) ** 2))
-    preferred = EXPONENTIAL if exp_res <= poly_res else POLYNOMIAL
+    bits = [s.log_image_bits for s in samples]
+    exp_slope, exp_res = _least_squares((s.n for s in samples), bits)
+    poly_slope, poly_res = _least_squares((math.log2(s.n) for s in samples), bits)
     return GrowthFit(
         samples=tuple(samples),
         exponential_rate=float(exp_slope),
         polynomial_degree=float(poly_slope),
-        preferred_model=preferred,
-        implied_base=float(2.0 ** exp_slope),
-        exponential_residual=exp_res,
-        polynomial_residual=poly_res,
+        preferred_model=EXPONENTIAL if exp_res <= poly_res else POLYNOMIAL,
+        implied_base=2.0 ** float(exp_slope),
+        exponential_residual=float(exp_res),
+        polynomial_residual=float(poly_res),
         failed_n=tuple(failed_n),
     )
 

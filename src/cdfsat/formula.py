@@ -52,7 +52,7 @@ class Clause:
     literals: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        seen: list[int] = []
+        seen: dict[int, None] = {}  # insertion-ordered, so first occurrences
         for lit in self.literals:
             if not isinstance(lit, int) or lit == 0:
                 raise ValueError(f"literal must be a nonzero int, got {lit!r}")
@@ -60,8 +60,7 @@ class Clause:
                 raise TautologicalClauseError(
                     f"clause {list(self.literals)} contains {lit} and {-lit}"
                 )
-            if lit not in seen:
-                seen.append(lit)
+            seen.setdefault(lit)
         if not seen:
             raise ValueError("empty clause is not representable")
         object.__setattr__(self, "literals", tuple(seen))

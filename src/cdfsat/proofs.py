@@ -8,6 +8,10 @@ package compares two cost notions.  Semantic cost, the full truth-table
 size, is ``semantic_cost``.  Syntactic cost, the line count of a valid
 derivation, is computed by ``cdfsat prove`` from the ``check_derivation``
 result it already has.
+
+Truth tables evaluate every row at once.  Each atom is one int column from
+``semantics.truth_columns``, row r at bit r; the connectives are bitwise
+operations on those ints, and negation is XOR with the all-ones int.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-import numpy as np
+from .semantics import truth_columns
 
 TRUTH_TABLE_ATOM_CAP = 20
 # most connectives and parentheses around any one atom of a parsed proposition
@@ -287,24 +291,29 @@ def eval_truth_table(p: Proposition) -> TruthTable:
             f"{len(names)} atoms exceeds the truth-table cap of {TRUTH_TABLE_ATOM_CAP}"
         )
     k = len(names)
-    rows = np.arange(1 << k)
-    columns = {a: ((rows >> (k - 1 - i)) & 1).astype(bool) for i, a in enumerate(names)}
-    return TruthTable(names, tuple(_eval_columns(p, columns).tolist()))
+    columns, ones = truth_columns(k)
+    # row r assigns names[i] bit k-1-i of r, and sits at bit r of a column
+    by_atom = {a: columns[2 * (k - 1 - i)] for i, a in enumerate(names)}
+    value = _eval_columns(p, by_atom, ones)
+    bits = f"{value:0{1 << k}b}"[::-1]  # bits[r] is bit r of value
+    return TruthTable(names, tuple(map("1".__eq__, bits)))
 
 
-def _eval_columns(p: Proposition, columns: dict[str, np.ndarray]) -> np.ndarray:
-    """eval_proposition over every row at once, one bool column per atom."""
+def _eval_columns(p: Proposition, columns: dict[str, int], ones: int) -> int:
+    """eval_proposition over every row at once, one int column per atom."""
     if isinstance(p, Atom):
         return columns[p.name]
     if isinstance(p, Not):
-        return ~_eval_columns(p.operand, columns)
+        return ones ^ _eval_columns(p.operand, columns, ones)
+    if not isinstance(p, (And, Or, Implies)):
+        raise TypeError(f"not a proposition: {p!r}")
+    left = _eval_columns(p.left, columns, ones)
+    right = _eval_columns(p.right, columns, ones)
     if isinstance(p, And):
-        return _eval_columns(p.left, columns) & _eval_columns(p.right, columns)
+        return left & right
     if isinstance(p, Or):
-        return _eval_columns(p.left, columns) | _eval_columns(p.right, columns)
-    if isinstance(p, Implies):
-        return ~_eval_columns(p.left, columns) | _eval_columns(p.right, columns)
-    raise TypeError(f"not a proposition: {p!r}")
+        return left | right
+    return (ones ^ left) | right
 
 
 def semantic_cost(p: Proposition) -> int:

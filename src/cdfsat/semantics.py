@@ -12,17 +12,19 @@ variable sets are pairwise disjoint, the count is also available in closed
 form as prod(2^k_i - 1) * 2^(free variables), and the two routes are
 cross-checked whenever both were computed.
 
-The exhaustive sweep is bit-sliced.  Assignment index a = 64 * word + bit,
-with variable v at bit n - v, so the lowest L = min(n, SWEEP_BITS) bits
-hold the highest-indexed variables.  Their truth columns are built once per
-call as packed uint64 words, 2^(L-6) per column (one partial word when
-L < 6), in both polarities.  The sweep then runs one chunk per setting of
-the other n - L variables.  Under a chunk's prefix every clause resolves in
-Python first: a true high literal drops it, a clause left with no literal
-empties the chunk, and any other clause ANDs the OR of its low columns into
-the chunk's accumulator.  One word op thus checks a clause against 64
-assignments; ``np.bitwise_count`` counts the accumulator, and materialized
-models are its set bits in ascending order.
+The exhaustive sweep is bit-sliced over Python ints.  Assignment index
+a = (prefix << L) + bit, with variable v at bit n - v of a, so the lowest
+L = min(n, SWEEP_BITS) bits hold the highest-indexed variables.  Their
+truth columns are built once per call by ``truth_columns``, one int of
+2^L bits per column, in both polarities, and every clause ORs its low
+columns once.  The sweep then runs one chunk per setting of the other
+n - L variables.  Under a chunk's prefix every clause with a high literal
+resolves first: a true high literal drops it, and otherwise its OR of low
+columns (0 when it has none) is ANDed into the chunk's int.  Clauses with
+no high literal are ANDed once into the int every chunk starts from.  One
+int operation thus checks a clause against 2^L assignments;
+``int.bit_count`` counts the models, and materialized models are the set
+bits in ascending order.
 """
 
 from __future__ import annotations
@@ -30,29 +32,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .formula import Clause, CnfFormula
 
 ENUMERATION_CAP = 26
-# the sweep numbers the 2^n assignments with uint64 indices (64 * word + bit,
-# prefix above the chunk bits), so n = 63 is the widest formula it can index
+# materialized assignment masks fit in a signed 64-bit integer up to n = 63
 MAX_ENUMERATION_CAP = 63
 MATERIALIZATION_CAP = 20
-# the sweep runs the lowest SWEEP_BITS assignment bits as packed words and
-# fixes the variables above them once per chunk
-SWEEP_BITS = 18
-_ALL_ONES = (1 << 64) - 1
-# bit b of _WORD_COLUMNS[j] is bit j of b: within one word, the truth column
-# of the variable at assignment bit j < 6
-_WORD_COLUMNS = (
-    0xAAAAAAAAAAAAAAAA,
-    0xCCCCCCCCCCCCCCCC,
-    0xF0F0F0F0F0F0F0F0,
-    0xFF00FF00FF00FF00,
-    0xFFFF0000FFFF0000,
-    0xFFFFFFFF00000000,
-)
+# the sweep checks the lowest SWEEP_BITS assignment bits in one int per
+# chunk and fixes the variables above them once per chunk
+SWEEP_BITS = 15
 
 ENUMERATED = "enumerated"
 COUNT_ONLY = "count-only"
@@ -147,38 +135,27 @@ def clause_image(cl: Clause, materialization_cap: int = MATERIALIZATION_CAP) -> 
     return SemanticImage(scope, count, masks, ENUMERATED)
 
 
-def _low_columns(bits: int) -> np.ndarray:
-    """Packed truth columns of assignment bits 0..bits-1, in both polarities.
+def truth_columns(bits: int) -> tuple[list[int], int]:
+    """Truth columns of assignment bits 0..bits-1, and the all-ones int.
 
-    Assignment ``a`` of the 2^bits sits at bit ``a % 64`` of word ``a // 64``.
-    Row 2j is set where bit j of the assignment is set, row 2j + 1 is its
-    complement.  Below 6 bits there is one partial word, and its bits at or
-    past 2^bits are for the caller to mask.
+    Each column is one int over the 2^bits assignments, assignment ``a`` at
+    bit ``a``.  Column 2j is set where bit j of the assignment is set,
+    column 2j + 1 is its complement.  The all-ones int has every one of the
+    2^bits bits set.
     """
-    columns = np.empty((2 * bits, 1 << max(bits - 6, 0)), dtype=np.uint64)
+    size = 1 << bits
+    ones = (1 << size) - 1
+    columns = []
     for j in range(bits):
-        if j < 6:
-            columns[2 * j] = _WORD_COLUMNS[j]
-        else:
-            # runs of 2^(j-6) words alternate between bit j clear and set
-            runs = columns[2 * j].reshape(-1, 2, 1 << (j - 6))
-            runs[:, 0] = 0
-            runs[:, 1] = _ALL_ONES
-    columns[1::2] = ~columns[0::2]
-    return columns
-
-
-def _and_clause(
-    acc: np.ndarray, columns: np.ndarray, rows: list[int], scratch: np.ndarray
-) -> None:
-    """AND the OR of ``columns[rows]`` into ``acc`` in place."""
-    if len(rows) == 1:
-        np.bitwise_and(acc, columns[rows[0]], out=acc)
-        return
-    np.bitwise_or(columns[rows[0]], columns[rows[1]], out=scratch)
-    for row in rows[2:]:
-        np.bitwise_or(scratch, columns[row], out=scratch)
-    np.bitwise_and(acc, scratch, out=acc)
+        # runs of 2^j assignments alternate between bit j clear and set:
+        # double one clear-then-set period until it spans all of them
+        run = 1 << j
+        column, width = ((1 << run) - 1) << run, 2 * run
+        while width < size:
+            column |= column << width
+            width *= 2
+        columns += (column, column ^ ones)
+    return columns, ones
 
 
 def _sweep(f: CnfFormula, materialize: bool) -> tuple[int, tuple[int, ...] | None]:
@@ -186,52 +163,44 @@ def _sweep(f: CnfFormula, materialize: bool) -> tuple[int, tuple[int, ...] | Non
 
     See the module docstring for the layout.  Clauses with no high literal
     resolve the same way under every prefix, so they are ANDed once into the
-    accumulator that each chunk starts from.
+    int that each chunk starts from.
     """
     n = f.variable_count
     low = min(n, SWEEP_BITS)
-    columns = _low_columns(low)
-    base = np.full(columns.shape[1], _ALL_ONES, dtype=np.uint64)
-    if low < 6:
-        base[0] = (1 << (1 << low)) - 1
-    scratch = np.empty_like(base)
+    columns, base = truth_columns(low)
     # each clause with a high literal: (mask, falsifying pattern) of its high
-    # literals over the chunk prefix, and the column rows of its low literals
-    split: list[tuple[int, int, list[int]]] = []
+    # literals over the chunk prefix, and the OR of its low columns
+    split: list[tuple[int, int, int]] = []
     for cl in f.clauses:
-        mask = pattern = 0
-        rows = []
+        mask = pattern = column = 0
         for lit in cl:
             bit = n - abs(lit)
             if bit < low:
-                rows.append(2 * bit + (lit < 0))
+                column |= columns[2 * bit + (lit < 0)]
             else:
                 mask |= 1 << (bit - low)
                 if lit < 0:
                     pattern |= 1 << (bit - low)
         if mask:
-            split.append((mask, pattern, rows))
+            split.append((mask, pattern, column))
         else:
-            _and_clause(base, columns, rows, scratch)
+            base &= column
     count = 0
-    kept: list[np.ndarray] = []
+    models: list[int] = []
     for prefix in range(1 << (n - low)):
-        acc = base.copy()
-        for mask, pattern, rows in split:
-            if (prefix & mask) != pattern:
-                continue  # a high literal is true under this prefix
-            if not rows:
-                break  # every literal is false: no model in this chunk
-            _and_clause(acc, columns, rows, scratch)
-        else:
-            count += int(np.bitwise_count(acc).sum())
-            if materialize:
-                octets = acc.astype("<u8", copy=False).view(np.uint8)
-                bits = np.unpackbits(octets, bitorder="little")
-                kept.append(np.flatnonzero(bits) + (prefix << low))
-    if not materialize:
-        return count, None
-    return count, tuple(np.concatenate(kept).tolist()) if kept else ()
+        acc = base
+        for mask, pattern, column in split:
+            if (prefix & mask) == pattern:  # every high literal is false
+                acc &= column
+        count += acc.bit_count()
+        if materialize and acc:
+            offset = prefix << low
+            bits = f"{acc:b}"[::-1]  # bits[a] is bit a of acc
+            a = bits.find("1")
+            while a >= 0:
+                models.append(offset + a)
+                a = bits.find("1", a + 1)
+    return count, tuple(models) if materialize else None
 
 
 def formula_image(

@@ -67,9 +67,10 @@ def fast_count_models(clause_lists, n: int) -> int:
 
     Builds one unpacked boolean truth column per variable over all 2^n
     rows and ORs them per clause.  The package's sweep also ORs truth
-    columns, but packed 64 to a word and with the high variables fixed per
-    chunk; this oracle shares none of that code, so a slip in the packing,
-    the chunking or the clause resolution shows up as a different count.
+    columns, but packed into one Python int per chunk and with the high
+    variables fixed per chunk; this oracle shares none of that code (nor
+    numpy, which the package does not use), so a slip in the packing, the
+    chunking or the clause resolution shows up as a different count.
     """
     rows = np.arange(1 << n, dtype=np.uint32)
     cols = {v: ((rows >> (n - v)) & 1).astype(bool) for v in range(1, n + 1)}

@@ -210,6 +210,25 @@ class TestGrowthFit:
         with pytest.raises(ValueError):
             fit_growth([GrowthSample(3, 8, 3.0)])
 
+    def test_exact_exponential_series_fits_exactly(self):
+        # a float least-squares solve leaves 1.0000000000000002 and 1.97e-29
+        samples = [GrowthSample(n, 2**n, float(n)) for n in (4, 8, 12, 16)]
+        fit = fit_growth(samples)
+        assert fit.exponential_rate == 1.0
+        assert fit.implied_base == 2.0
+        assert fit.exponential_residual == 0.0
+
+    def test_two_sample_tie_prefers_exponential(self):
+        # a line passes through any two points, so both residuals are 0
+        fit = fit_growth([GrowthSample(3, 7, math.log2(7)), GrowthSample(5, 23, math.log2(23))])
+        assert fit.exponential_residual == 0.0
+        assert fit.polynomial_residual == 0.0
+        assert fit.preferred_model == EXPONENTIAL
+
+    def test_single_distinct_size_rejected(self):
+        with pytest.raises(ValueError, match="distinct sample sizes"):
+            fit_growth([GrowthSample(4, 16, 4.0), GrowthSample(4, 16, 4.0)])
+
     def test_csv_shape(self):
         fit = fit_growth([GrowthSample(2, 4, 2.0), GrowthSample(4, 16, 4.0)])
         lines = fit.to_csv().strip().split("\n")

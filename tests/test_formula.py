@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,22 @@ class TestClause:
         assert clause(1, -2) == clause(1, -2)
         assert hash(clause(1, -2)) == hash(clause(1, -2))
         assert clause(1, -2) != clause(-2, 1)  # order is part of identity
+
+    @pytest.mark.parametrize("route", ["direct", "dimacs"])
+    def test_wide_clause_within_budget(self, route):
+        # duplicate checks must stay linear: a quadratic scan takes about
+        # 22 s at this width on a 2-vCPU host
+        width = 40000
+        lits = [v if v % 3 else -v for v in range(1, width + 1)]
+        start = time.perf_counter()
+        if route == "direct":
+            cl = Clause(tuple(lits + lits[:100]))
+        else:
+            text = f"p cnf {width} 1\n" + " ".join(map(str, lits + lits[:100])) + " 0\n"
+            (cl,) = parse_dimacs(text).clauses
+        elapsed = time.perf_counter() - start
+        assert cl.literals == tuple(lits)
+        assert elapsed < 0.5, f"budget exceeded: {elapsed:.2f}s >= 0.5s"
 
 
 class TestCnfFormula:

@@ -3,6 +3,8 @@ from __future__ import annotations
 import ast
 import importlib
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -65,3 +67,24 @@ def test_readme_quick_tour_runs_and_its_stated_values_hold():
     assert len(claims) == 8
     for code, comment in claims:
         assert eval(code, namespace) == _stated_value(comment), code
+
+
+_NO_NUMPY = """
+import importlib, pkgutil, sys
+import cdfsat
+for info in pkgutil.iter_modules(cdfsat.__path__):
+    importlib.import_module("cdfsat." + info.name)
+from cdfsat.analysis import GrowthSample, fit_growth
+from cdfsat.formula import formula
+from cdfsat.proofs import eval_truth_table, parse_proposition
+from cdfsat.semantics import formula_image
+assert formula_image(formula([[-1, 2], [-2, 3]], 3)).count == 4
+assert eval_truth_table(parse_proposition("A -> (B -> A)")).is_tautology
+assert fit_growth([GrowthSample(n, 2**n, float(n)) for n in (2, 4, 6)]).exponential_rate == 1
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+
+
+def test_package_runs_without_numpy():
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -139,8 +139,8 @@ class TestFormulaImage:
     @settings(max_examples=150, deadline=None)
     @given(mixed_width_clauses())
     def test_sweep_matches_model_masks(self, case):
-        # n < 6 leaves the sweep one partial word; unit clauses have no
-        # second column to OR
+        # every n here fits in one chunk, down to one int of two bits at
+        # n = 1; unit clauses have no second column to OR
         lists, n = case
         f = formula(lists, n)
         expected = model_masks(lists, n)
@@ -153,7 +153,7 @@ class TestFormulaImage:
     def test_sweep_past_one_chunk_matches_fast_oracle(self, n):
         # n > SWEEP_BITS splits the sweep into 2^(n - SWEEP_BITS) chunks.
         # (~x1) lies wholly above the chunk bits, and so does (x1 | ~x2)
-        # from n = 20: each leaves whole chunks without a model
+        # from n = SWEEP_BITS + 2: each leaves whole chunks without a model
         random_lists = generate_random_ksat(n, 3 * n, 3, seed=n).clauses
         lists = [[-1], [1, -2]] + [cl.literals for cl in random_lists]
         f = formula(lists, n)
@@ -215,7 +215,7 @@ class TestFormulaImage:
 
     @pytest.mark.parametrize("cap", [-1, MAX_ENUMERATION_CAP + 1, 70])
     def test_cap_outside_mask_width_rejected(self, cap):
-        # past 63 the uint64 clause masks would overflow
+        # past 63 a materialized mask would not fit a signed 64-bit integer
         f = formula([[1, 70], [1, -70], [2, 3]], 70)
         with pytest.raises(ValueError, match="enumeration cap"):
             formula_image(f, enumeration_cap=cap, materialization_cap=0)

@@ -10,14 +10,17 @@ all of them in-process through its own ``cdfsat.cli.main``, in one
 subprocess per checkout, with stdin, stdout and stderr held in memory; a
 piped command reads the stdout of its source command in the same
 checkout.  The tool prints how many commands gave the same stdout, stderr
-and exit code in both, and the label of each that did not.  It exits 1 on
-any difference and 0 otherwise.
+and exit code in both, and the label of each that did not; where stdout
+differs, it also prints the differing lines (a unified diff without
+context, this checkout's lines marked ``+``), at most 10 per command.  It
+exits 1 on any difference and 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import json
@@ -27,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("count-narrow", "search")
+MAX_DIFF_LINES = 10
 
 
 def _import_cli(src: Path):
@@ -60,7 +64,7 @@ def _run_one(cli, argv: list[str], stdin_text: str) -> tuple[str, str, str]:
 
 def _child(checkout: Path) -> None:
     """Run the command lists read from stdin through ``checkout``'s
-    ``cdfsat``; write one digest per command."""
+    ``cdfsat``; write each command's stdout, stderr digest and outcome."""
     cli = _import_cli((checkout / "src").resolve())
     results = []
     for commands in json.load(sys.stdin):
@@ -70,8 +74,7 @@ def _child(checkout: Path) -> None:
                 stdin_text = stdouts[pipe_from]
             out, err, outcome = _run_one(cli, argv, stdin_text or "")
             stdouts[i] = out
-            results.append([hashlib.sha256(out.encode()).hexdigest(),
-                            hashlib.sha256(err.encode()).hexdigest(), outcome])
+            results.append([out, hashlib.sha256(err.encode()).hexdigest(), outcome])
     json.dump(results, sys.stdout)
 
 
@@ -85,6 +88,15 @@ def _results(checkout: Path, payload: str) -> list[list[str]]:
     if proc.returncode != 0:
         raise SystemExit(f"compare_outputs: the run of {checkout} failed:\n{proc.stderr}")
     return json.loads(proc.stdout)
+
+
+def _changed_lines(theirs: str, mine: str) -> list[str]:
+    """The first MAX_DIFF_LINES removed (-) and added (+) lines, indented."""
+    diff = difflib.unified_diff(theirs.splitlines(), mine.splitlines(), n=0, lineterm="")
+    # past the two file headers, a diff without context holds only hunk
+    # headers and -/+ lines
+    changed = [line for line in list(diff)[2:] if not line.startswith("@@")]
+    return [f"    {line}" for line in changed[:MAX_DIFF_LINES]]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -116,6 +128,9 @@ def main(argv: list[str] | None = None) -> int:
         parts = [part for part, a, b in zip(("stdout", "stderr", "exit code"), mine, theirs)
                  if a != b]
         print(f"differs: {workload} seed {seed}: {label} ({', '.join(parts)})")
+        if mine[0] != theirs[0]:
+            for line in _changed_lines(theirs[0], mine[0]):
+                print(line)
     print(f"{same}/{len(labels)} commands identical in stdout, stderr and exit code")
     return 0 if same == len(labels) else 1
 
