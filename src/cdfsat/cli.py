@@ -71,9 +71,10 @@ ENV_THETA = "CDFSAT_THETA"
 # at the largest n; past it the command is a usage error
 MAX_GROWTH_CLAUSES = 100_000
 
-# the largest `growth --n` size: 2^14000 has 4215 digits, so every exact
-# imageSize stays under Python's 4300-digit int-to-string limit
-MAX_GROWTH_VARIABLES = 14_000
+# the most variables of any formula the CLI reads or draws (a DIMACS header,
+# a `growth --n` size): 2^14000 has 4215 digits, so every exact count stays
+# under Python's 4300-digit int-to-string limit
+MAX_VARIABLES = 14_000
 
 # the decimal exponent of a --density, e.g. the 400 of 1e400; Fraction turns
 # 10 to that power into an exact integer, so it is bounded while still text
@@ -143,6 +144,19 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+def _read_formula(path: str) -> CnfFormula:
+    """Parse a DIMACS file, refusing more than MAX_VARIABLES variables.
+
+    The check runs before any command allocates per variable.
+    """
+    f = parse_dimacs(_read_text(path))
+    if f.variable_count > MAX_VARIABLES:
+        raise ValueError(
+            f"{f.variable_count} variables exceed the limit of {MAX_VARIABLES}"
+        )
+    return f
+
+
 def _emit_json(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -175,7 +189,7 @@ def _model_text(model: dict[int, bool] | None) -> str:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     cap = _resolve_cap(args.cap)
     theta = _resolve_theta(args.theta)
-    f = parse_dimacs(_read_text(args.input))
+    f = _read_formula(args.input)
 
     classification = classify(f, growth=None, theta=theta)
     result, trace = dpll_solve(f, heuristic=args.heuristic)
@@ -255,8 +269,8 @@ def _parse_n_list(text: str, parser: argparse.ArgumentParser) -> list[int]:
         parser.error("--n sizes must be strictly increasing")
     if values[0] < 1:
         parser.error("--n sizes must be >= 1")
-    if values[-1] > MAX_GROWTH_VARIABLES:
-        parser.error(f"--n sizes must be <= {MAX_GROWTH_VARIABLES}")
+    if values[-1] > MAX_VARIABLES:
+        parser.error(f"--n sizes must be <= {MAX_VARIABLES}")
     return values
 
 
@@ -411,7 +425,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:
-    f = parse_dimacs(_read_text(args.input))
+    f = _read_formula(args.input)
     if args.kind == "implication-graph":
         sys.stdout.write(implication_graph_to_dot(build_implication_graph(f)))
     else:

@@ -6,11 +6,13 @@ lowest-indexed scope variable at the most significant bit, so ascending
 mask order is exactly lexicographic order by variable index with false
 before true, and that is the canonical enumeration and export order.
 
-Counting is exact everywhere.  Exhaustive enumeration is the ground truth
-and runs up to ``enumeration_cap`` variables (default 26); when the clause
-variable sets are pairwise disjoint, the count is also available in closed
-form as prod(2^k_i - 1) * 2^(free variables), and the two routes are
-cross-checked whenever both were computed.
+Counting is exact everywhere, and exactly one route counts each formula.
+The exhaustive sweep runs up to ``enumeration_cap`` variables (default 26)
+and is the only route that materializes models.  When the models are not
+materialized and the clause variable sets are pairwise disjoint, the
+count comes in closed form as prod(2^k_i - 1) * 2^(free variables), at
+any n, since each clause excludes exactly its one all-false local
+assignment.  Any other formula past the cap is intractable.
 
 The exhaustive sweep is bit-sliced over Python ints.  Assignment index
 a = (prefix << L) + bit, with variable v at bit n - v of a, so the lowest
@@ -75,18 +77,22 @@ class SemanticImage:
     """Exact satisfying-assignment set of one clause or formula.
 
     ``count`` is always exact.  ``assignments`` is materialized (as sorted
-    bitmasks over ``scope``) only when the scope is small enough; otherwise
-    ``representation`` is ``count-only`` and ``assignments`` is None.
+    bitmasks over ``scope``) only when the scope is small enough, and is
+    None otherwise.
     """
 
     scope: tuple[int, ...]
     count: int
     assignments: tuple[int, ...] | None
-    representation: str
 
     def __post_init__(self) -> None:
         if self.assignments is not None and len(self.assignments) != self.count:
             raise ValueError("materialized assignment count disagrees with count")
+
+    @property
+    def representation(self) -> str:
+        """``count-only`` when ``assignments`` is None, else ``enumerated``."""
+        return COUNT_ONLY if self.assignments is None else ENUMERATED
 
 
 def clauses_variable_disjoint(f: CnfFormula) -> bool:
@@ -100,22 +106,6 @@ def clauses_variable_disjoint(f: CnfFormula) -> bool:
     return True
 
 
-def disjoint_lower_bound(f: CnfFormula) -> int | None:
-    """prod(2^k_i - 1) over clauses, or None when clauses share variables.
-
-    For pairwise variable-disjoint clauses this is the exact model count
-    restricted to the constrained variables (each clause independently
-    excludes exactly its one all-false local assignment); with overlapping
-    clauses the product law does not apply and None is returned.
-    """
-    if not clauses_variable_disjoint(f):
-        return None
-    bound = 1
-    for cl in f.clauses:
-        bound *= (1 << cl.width) - 1
-    return bound
-
-
 def clause_image(cl: Clause, materialization_cap: int = MATERIALIZATION_CAP) -> SemanticImage:
     """Image of a single clause over its own variables: 2^k - 1 assignments.
 
@@ -125,14 +115,14 @@ def clause_image(cl: Clause, materialization_cap: int = MATERIALIZATION_CAP) -> 
     k = len(scope)
     count = (1 << k) - 1
     if k > materialization_cap:
-        return SemanticImage(scope, count, None, COUNT_ONLY)
+        return SemanticImage(scope, count, None)
     position = {v: k - 1 - j for j, v in enumerate(scope)}
     excluded = 0
     for lit in cl:
         if lit < 0:  # negative literal is false when the variable is true
             excluded |= 1 << position[abs(lit)]
     masks = tuple(m for m in range(1 << k) if m != excluded)
-    return SemanticImage(scope, count, masks, ENUMERATED)
+    return SemanticImage(scope, count, masks)
 
 
 def truth_columns(bits: int) -> tuple[list[int], int]:
@@ -210,32 +200,27 @@ def formula_image(
 ) -> SemanticImage:
     """Exact satisfying-assignment image of a formula over all its variables.
 
-    Routes, in order: exhaustive enumeration with materialized assignments
-    when n fits both caps; the closed-form disjoint product when clause
-    variable sets are pairwise disjoint (any n); count-only enumeration up
-    to ``enumeration_cap``.  Beyond that, IntractableError.  A cap outside
+    Exactly one route runs, the first that applies: the sweep with
+    materialized assignments when n fits both caps; the closed form
+    prod(2^k_i - 1) * 2^(free variables) when the clause variable sets are
+    pairwise disjoint (any n); the count-only sweep up to
+    ``enumeration_cap``.  Beyond that, IntractableError.  A cap outside
     0..MAX_ENUMERATION_CAP raises ValueError.
     """
     check_enumeration_cap(enumeration_cap)
     n = f.variable_count
     scope = tuple(range(1, n + 1))
-    bound = disjoint_lower_bound(f)
-    product = None
-    if bound is not None:
-        free = n - sum(cl.width for cl in f.clauses)
-        product = bound << free
     if n <= enumeration_cap and n <= materialization_cap:
         count, assignments = _sweep(f, materialize=True)
-        if product is not None and product != count:
-            raise RuntimeError(
-                f"enumeration ({count}) and disjoint product ({product}) disagree"
-            )
-        return SemanticImage(scope, count, assignments, ENUMERATED)
-    if product is not None:
-        return SemanticImage(scope, product, None, COUNT_ONLY)
+        return SemanticImage(scope, count, assignments)
+    if clauses_variable_disjoint(f):
+        count = 1 << (n - sum(cl.width for cl in f.clauses))
+        for cl in f.clauses:
+            count *= (1 << cl.width) - 1
+        return SemanticImage(scope, count, None)
     if n <= enumeration_cap:
         count, _ = _sweep(f, materialize=False)
-        return SemanticImage(scope, count, None, COUNT_ONLY)
+        return SemanticImage(scope, count, None)
     raise IntractableError(n, enumeration_cap)
 
 

@@ -196,8 +196,9 @@ class TestGrowthFit:
         assert fit.polynomial_residual < 1e-12
 
     def test_constant_series_is_flat_under_both_models(self):
-        # both fits are exact here, so the residual comparison is float
-        # noise; assert the meaningful outputs instead of the tie winner
+        # both models fit a constant series exactly, so both residuals are 0
+        # and the tie rule alone picks the winner; assert the meaningful
+        # outputs instead
         samples = [GrowthSample(n, 16, 4.0) for n in (2, 4, 8)]
         fit = fit_growth(samples)
         assert math.isclose(fit.exponential_rate, 0.0, abs_tol=1e-12)

@@ -527,6 +527,52 @@ class TestExportDot:
         assert "error" in proc.stderr
 
 
+class TestVariableLimit:
+    # without the limit, 10^8 variables ran out of the child's 1 GiB in
+    # DPLL's per-variable order list (a MemoryError traceback after
+    # seconds), and 15000 variables counted 3 * 2^14998, which has more
+    # than 4300 digits and failed at JSON emission
+    @pytest.mark.parametrize(
+        "command, n",
+        [
+            (["analyze"], 10**8),
+            (["export-dot", "trace"], 10**8),
+            (["export-dot", "implication-graph"], 10**8),
+            (["analyze"], 15000),
+        ],
+    )
+    def test_declared_count_past_limit_exits_1(self, command, n):
+        proc = run_cli(
+            *command, "-", stdin_text=f"p cnf {n} 1\n1 2 0\n",
+            timeout=20, preexec_fn=_cap_address_space,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == f"cdfsat: error: {n} variables exceed the limit of 14000\n"
+
+    @pytest.mark.parametrize("command", [["analyze"], ["export-dot", "implication-graph"]])
+    def test_uncounted_formula_past_limit_exits_1(self, tmp_path, capsys, command):
+        # an overlapping 2-SAT chain prints no count (analyze reports it
+        # intractable, export-dot never counts), and the limit still holds
+        n = cli.MAX_VARIABLES + 1
+        path = tmp_path / "chain.cnf"
+        path.write_text(f"p cnf {n} 2\n-1 2 0\n-2 3 0\n")
+        assert run_main([*command, str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"cdfsat: error: {n} variables exceed the limit of 14000\n"
+
+    def test_largest_count_prints_exact_image(self, tmp_path, capsys):
+        path = tmp_path / "limit.cnf"
+        path.write_text("p cnf 14000 1\n1 2 0\n")
+        assert run_main(["analyze", str(path), "--quiet"]) == 0
+        out, _ = capsys.readouterr()
+        count = json.loads(out)["semantics"]["imageCount"]
+        assert count == 3 * 2**13998
+        assert len(str(count)) == 4215
+
+
 class TestDeterminism:
     def test_analyze_byte_identical(self, chain_file):
         a = run_cli("analyze", chain_file, binary=True)

@@ -69,6 +69,19 @@ def test_readme_quick_tour_runs_and_its_stated_values_hold():
         assert eval(code, namespace) == _stated_value(comment), code
 
 
+def test_readme_public_names_exist():
+    text = README.read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(cdfsat\.\w+)` \| (.*) \|$", text, re.M)
+    assert len(rows) == 7
+    for module_name, cell in rows:
+        module = importlib.import_module(module_name)
+        names = re.findall(r"`([^`]+)`", cell)
+        if module_name == "cdfsat.cli":
+            names.remove("cdfsat")  # the console script, not an attribute
+        missing = [name for name in names if not hasattr(module, name)]
+        assert not missing, f"{module_name} lacks {missing}"
+
+
 _NO_NUMPY = """
 import importlib, pkgutil, sys
 import cdfsat

@@ -17,7 +17,6 @@ from cdfsat.semantics import (
     IntractableError,
     clause_image,
     clauses_variable_disjoint,
-    disjoint_lower_bound,
     formula_image,
     log2_count,
 )
@@ -54,6 +53,26 @@ def mixed_width_clauses(draw, max_n=12, max_m=16):
         )
     )
     return [list(cl) for cl in lists], n
+
+
+@st.composite
+def disjoint_clauses(draw, max_n=16):
+    """Strategy: (clause_lists, n) with pairwise variable-disjoint clauses.
+
+    Widths 1..4 are dealt from a shuffled variable order with random signs;
+    the variables left over are free.
+    """
+    n = draw(st.integers(1, max_n))
+    order = draw(st.permutations(range(1, n + 1)))
+    lists: list[list[int]] = []
+    used = 0
+    for width in draw(st.lists(st.integers(1, 4), max_size=n)):
+        if used + width > n:
+            break
+        signs = draw(st.lists(st.booleans(), min_size=width, max_size=width))
+        lists.append([v if s else -v for v, s in zip(order[used:used + width], signs)])
+        used += width
+    return lists, n
 
 
 class TestClauseImage:
@@ -101,12 +120,52 @@ class TestDisjointness:
         assert clauses_variable_disjoint(formula([[1, 2], [3, 4]], 4))
         assert not clauses_variable_disjoint(formula([[1, 2], [2, 3]], 3))
 
-    def test_lower_bound_product(self):
-        f = formula([[1, 2, 3], [4, 5, 6]], 6)
-        assert disjoint_lower_bound(f) == 7 * 7
+    @settings(max_examples=100, deadline=None)
+    @given(disjoint_clauses(), st.data())
+    def test_closed_form_and_sweep_agree(self, case, data):
+        # without materialization the closed form counts, at any cap; with
+        # it the sweep does; both must agree with the oracle
+        lists, n = case
+        f = formula(lists, n)
+        expected = fast_count_models(lists, n)
+        closed = formula_image(
+            f,
+            enumeration_cap=data.draw(st.integers(0, n + 2)),
+            materialization_cap=data.draw(st.integers(0, n - 1)),
+        )
+        assert closed.count == expected
+        assert closed.assignments is None
+        assert closed.representation == COUNT_ONLY
+        swept = formula_image(
+            f,
+            enumeration_cap=data.draw(st.integers(n, n + 2)),
+            materialization_cap=data.draw(st.integers(n, n + 2)),
+        )
+        assert swept.count == expected
+        assert len(swept.assignments) == expected
+        assert swept.representation == ENUMERATED
 
-    def test_lower_bound_none_when_overlapping(self):
-        assert disjoint_lower_bound(formula([[1, 2], [2, 3]], 3)) is None
+    def test_closed_form_counts_within_the_cap(self, monkeypatch):
+        # a disjoint formula within a raised cap but past materialization
+        # must not pay 2^60 sweep steps
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("disjoint formula was swept")
+
+        monkeypatch.setattr("cdfsat.semantics._sweep", no_sweep)
+        lists = [[3 * i + 1, -(3 * i + 2), 3 * i + 3] for i in range(19)]
+        img = formula_image(formula(lists, 60), enumeration_cap=MAX_ENUMERATION_CAP)
+        assert img.count == 7**19 * 2**3
+        assert img.representation == COUNT_ONLY
+
+    def test_one_shared_variable_past_the_cap_is_intractable(self):
+        # two disjoint clauses and a third that shares x6: no closed form
+        lists = [[1, 2, 3], [4, 5, 6], [-6, 7]]
+        f = formula(lists, 8)
+        with pytest.raises(IntractableError) as exc:
+            formula_image(f, enumeration_cap=7)
+        assert exc.value.variable_count == 8
+        assert exc.value.cap == 7
+        assert formula_image(f, enumeration_cap=8).count == fast_count_models(lists, 8)
 
 
 class TestFormulaImage:
