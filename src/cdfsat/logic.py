@@ -28,10 +28,12 @@ refutation pair: a conflict leaf for the excluded value followed by the
 forced branch.  That is what makes backtrack counters an observable
 difference between narrow and wide formulas instead of an informal claim.
 The search itself is one loop over an explicit stack of open decisions.
-Besides that stack it keeps only the assignment, whose insertion order is
-the trail, and the queue of literals still to propagate; clauses are
-checked against the assignment when visited, and the search is SAT once no
-unassigned variable occurs in an unsatisfied clause.  The trace is a tree
+Its state is that stack (the frames), a value table indexed by literal,
+the trail of assigned literals in assignment order, and the queue of
+literals still to propagate, which is the trail's unpropagated tail, as in
+MiniSat (Een & Sorensson, SAT 2003).  Clauses are checked against the
+value table when visited, and the search is SAT once no unassigned
+variable occurs in an unsatisfied clause.  The trace is a tree
 stored flat, as parallel per-node lists (parent, kind, variable, value,
 leaf) in depth-first preorder, so searching, counting, measuring and
 rendering are loops with no recursion, however deep the search goes.
@@ -462,8 +464,11 @@ class _DpllSearch:
         if heuristic == "most-occurrences":
             # stable sort: ties keep ascending index
             self.order.sort(key=lambda v: -len(self.occ.get(v, ())) - len(self.occ.get(-v, ())))
-        self.assign: Assignment = {}  # insertion order is the trail
-        self.pending: deque[int] = deque()
+        # value[lit] is True, False or None (unassigned); a negative literal
+        # indexes from the end, so each variable v has the two entries
+        # value[v] and value[-v], which are set and cleared together
+        self.value: list[bool | None] = [None] * (2 * f.variable_count + 1)
+        self.trail: list[int] = []  # the assigned literals, oldest first
         self.branch_count = 0
         self.conflict_seen = 0
         # the trace, node 0 being the root (see DerivationTrace)
@@ -473,78 +478,70 @@ class _DpllSearch:
         self.values: list[bool | None] = [None]
         self.leaves: list[str | None] = [None]
 
-    # -- state updates ------------------------------------------------
+    def _propagate(self, tip: int, head: int, units: Sequence[int] = ()) -> int | None:
+        """Unit-propagate the trail from position ``head`` on, growing the
+        trace chain at ``tip``.
 
-    def _node(self, parent: int, kind: str, lit: int) -> int:
-        """Append a trace node assigning ``lit``; returns its id."""
-        self.parents.append(parent)
-        self.kinds.append(kind)
-        self.variables.append(abs(lit))
-        self.values.append(lit > 0)
-        self.leaves.append(None)
-        return len(self.parents) - 1
-
-    def _set_literal(self, lit: int) -> None:
-        self.assign[abs(lit)] = lit > 0
-        self.pending.append(lit)
-
-    def _note_conflict(self, tip: int) -> None:
-        """Mark node ``tip`` as an UNSAT leaf and count the conflict."""
-        # a retreat follows unless this conflict ends the whole search;
-        # the final tally fixes up the UNSAT case
-        self.leaves[tip] = "UNSAT"
-        self.conflict_seen += 1
-
-    # -- propagation ----------------------------------------------------
-
-    def _clause_state(self, idx: int) -> int | None:
-        """The single unassigned literal, 0 if falsified, None otherwise."""
-        single = None
-        for lit in self.clauses[idx]:
-            val = self.assign.get(abs(lit))
-            if val is None:
-                if single is not None:
-                    return None  # two unassigned, nothing to do
-                single = lit
-            elif (lit > 0) == val:
-                return None  # satisfied
-        return 0 if single is None else single
-
-    def _force(self, lit: int, wide: bool, tip: int) -> int:
-        if wide:
-            # no implication form: the excluded value is probed and refuted
-            self._note_conflict(self._node(tip, "refutation", -lit))
-            self.branch_count += 1
-        self._set_literal(lit)
-        return self._node(tip, "propagation", lit)
-
-    def _propagate(self, tip: int, units: Sequence[int] = ()) -> int | None:
-        """Drain the unit-propagation queue, growing the trace chain at tip.
-
+        The queue is the trail's tail from ``head`` on, taken first in,
+        first out.  For each literal taken, the clauses holding its negation
+        are visited in ascending order, each checked against the whole
+        current assignment: a falsified clause is a conflict, and an
+        unsatisfied clause with a single unassigned literal forces it.
         Whenever the queue runs dry, the next clause of ``units`` (the
-        original unit clauses, at the root) is checked and fired.  Returns
-        the new chain tip, or None on conflict (with the dead node already
-        marked as an UNSAT leaf).
+        original unit clauses, at the root) is visited.  Returns the new
+        chain tip, or None on conflict (with the dead node already marked as
+        an UNSAT leaf).
         """
+        value, trail, occ, clauses = self.value, self.trail, self.occ, self.clauses
+        parents, kinds, variables, values, leaves = (
+            self.parents, self.kinds, self.variables, self.values, self.leaves)
         next_unit = 0
-        while self.pending or next_unit < len(units):
-            if self.pending:
-                visit = self.occ.get(-self.pending.popleft(), ())
+        while head < len(trail) or next_unit < len(units):
+            if head < len(trail):
+                visit = occ.get(-trail[head], ())
+                head += 1
             else:
                 visit = (units[next_unit],)
                 next_unit += 1
             for idx in visit:
-                state = self._clause_state(idx)
-                if state is None:
-                    continue
-                if state == 0:
-                    self._note_conflict(tip)
-                    self.pending.clear()
-                    return None
-                tip = self._force(state, len(self.clauses[idx]) >= 3, tip)
+                cl = clauses[idx]
+                single = 0
+                for lit in cl:
+                    val = value[lit]
+                    if val is None:
+                        if single:
+                            break  # two unassigned, nothing to do
+                        single = lit
+                    elif val:
+                        break  # satisfied
+                else:
+                    if not single:
+                        # falsified; a retreat follows unless this conflict
+                        # ends the whole search, which the final tally fixes
+                        leaves[tip] = "UNSAT"
+                        self.conflict_seen += 1
+                        return None
+                    var, positive = abs(single), single > 0
+                    if len(cl) >= 3:
+                        # no implication form: the excluded value is probed
+                        # and refuted
+                        parents.append(tip)
+                        kinds.append("refutation")
+                        variables.append(var)
+                        values.append(not positive)
+                        leaves.append("UNSAT")
+                        self.conflict_seen += 1
+                        self.branch_count += 1
+                    value[single] = True
+                    value[-single] = False
+                    trail.append(single)
+                    parents.append(tip)
+                    kinds.append("propagation")
+                    variables.append(var)
+                    values.append(positive)
+                    leaves.append(None)
+                    tip = len(parents) - 1
         return tip
-
-    # -- branching ------------------------------------------------------
 
     def _pick_variable(self, start: int) -> int | None:
         """Position in ``order`` of the first unassigned variable that occurs
@@ -558,18 +555,20 @@ class _DpllSearch:
         and deeper in the search both the assignment and the satisfied
         clauses only grow.  The clauses found satisfied are remembered for
         the call, so a wide clause is scanned once, not once per variable.
+        Both the assignment and clause satisfaction are read from the value
+        table.
         """
-        assign, occ, clauses = self.assign, self.occ, self.clauses
+        value, occ, clauses, order = self.value, self.occ, self.clauses, self.order
         satisfied: set[int] = set()
-        for pos in range(start, len(self.order)):
-            var = self.order[pos]
-            if var in assign:
+        for pos in range(start, len(order)):
+            var = order[pos]
+            if value[var] is not None:
                 continue
             for lit in (var, -var):
                 for idx in occ.get(lit, ()):
                     if idx in satisfied:
                         continue
-                    if not any(assign.get(abs(l)) == (l > 0) for l in clauses[idx]):
+                    if not any(map(value.__getitem__, clauses[idx])):
                         return pos
                     satisfied.add(idx)
         return None
@@ -577,45 +576,58 @@ class _DpllSearch:
     def _search(self) -> bool:
         """Depth-first search over an explicit stack of open decisions.
 
-        A frame is (literal tried, parent node, size of the assignment before
-        the literal, order position of its variable).  The true value is tried
-        first, so a negative literal means both values have been tried.  On
-        a conflict the loop drops those frames and flips the newest
-        remaining one; the search is UNSAT when none remains.
+        The search state is the value table, the trail, the queue (the
+        trail's tail that ``_propagate`` has not yet taken) and the frames.
+        A frame is (literal tried, parent node, length of the trail before
+        the literal, order position of its variable).  The true value is
+        tried first, so a negative literal means both values have been
+        tried.  On a conflict the loop drops those frames, pops the trail
+        back to the newest remaining frame's mark, clearing both value
+        entries of every literal it pops, and flips that frame's literal;
+        the search is UNSAT when no frame remains.
         """
+        value, trail, order = self.value, self.trail, self.order
         frames: list[tuple[int, int, int, int]] = []
-        tip = self._propagate(0, self.units)
+        tip = self._propagate(0, 0, self.units)
         pos: int | None = 0
         while True:
             if tip is not None:
                 pos = self._pick_variable(pos)
                 if pos is None:
                     self.leaves[tip] = "SAT"
-                    return True  # the assignment is left in place as the model
-                lit, parent = self.order[pos], tip
-                frames.append((lit, parent, len(self.assign), pos))
+                    return True  # the trail is left in place as the model
+                lit, parent, mark = order[pos], tip, len(trail)
+                frames.append((lit, parent, mark, pos))
             else:
                 while frames and frames[-1][0] < 0:
                     frames.pop()
                 if not frames:
                     return False
                 lit, parent, mark, pos = frames[-1]
-                while len(self.assign) > mark:
-                    self.assign.popitem()
+                while len(trail) > mark:
+                    undone = trail.pop()
+                    value[undone] = value[-undone] = None
                 self.branch_count += 1
                 lit = -lit
                 frames[-1] = (lit, parent, mark, pos)
-            node = self._node(parent, "decision", lit)
-            self._set_literal(lit)
-            tip = self._propagate(node)
+            self.parents.append(parent)
+            self.kinds.append("decision")
+            self.variables.append(abs(lit))
+            self.values.append(lit > 0)
+            self.leaves.append(None)
+            value[lit] = True
+            value[-lit] = False
+            trail.append(lit)
+            tip = self._propagate(len(self.parents) - 1, mark)
 
     def run(self) -> tuple[SolveResult, DerivationTrace]:
         free: tuple[int, ...] = ()
         if self._search():
-            result = SolveResult(True, dict(self.assign), None)
-            if not satisfies(self.f, self.assign):
+            model = {abs(lit): lit > 0 for lit in self.trail}
+            if not satisfies(self.f, model):
                 raise RuntimeError("dpll produced a non-model")
-            free = tuple(v for v in range(1, self.f.variable_count + 1) if v not in self.assign)
+            result = SolveResult(True, model, None)
+            free = tuple(v for v in range(1, self.f.variable_count + 1) if self.value[v] is None)
             # every conflict was retreated from: the SAT leaf came after it
             backtracks = self.conflict_seen
         else:
@@ -675,21 +687,27 @@ def trace_to_dot(trace: DerivationTrace) -> str:
 
     Decision nodes are double-circled, UNSAT leaves are filled, and node ids
     are the trace's own (depth-first preorder), so the output is
-    deterministic.
+    deterministic.  A node's attributes depend only on its (kind, variable,
+    value, leaf), so each distinct combination is rendered once per call.
     """
     lines = ["digraph derivation_trace {", "  rankdir=TB;"]
+    rendered: dict[tuple, str] = {}
     nodes = zip(trace.kinds, trace.variables, trace.values, trace.leaves)
-    for i, (kind, variable, value, leaf) in enumerate(nodes):
-        label = "Start" if kind == "root" else f"x{variable}={'true' if value else 'false'}"
-        if leaf is not None:
-            label += f" ({leaf})"
-        attrs = [f'label="{label}"']
-        if kind == "decision":
-            attrs.append("shape=doublecircle")
-        if leaf == "UNSAT":
-            attrs.append("style=filled")
-        lines.append(f"  n{i} [{', '.join(attrs)}];")
-    for i in range(1, len(trace.parents)):
-        lines.append(f"  n{trace.parents[i]} -> n{i};")
+    for i, node in enumerate(nodes):
+        attrs = rendered.get(node)
+        if attrs is None:
+            kind, variable, value, leaf = node
+            label = "Start" if kind == "root" else f"x{variable}={'true' if value else 'false'}"
+            if leaf is not None:
+                label += f" ({leaf})"
+            attrs = f'label="{label}"'
+            if kind == "decision":
+                attrs += ", shape=doublecircle"
+            if leaf == "UNSAT":
+                attrs += ", style=filled"
+            rendered[node] = attrs
+        lines.append(f"  n{i} [{attrs}];")
+    parents = trace.parents
+    lines += [f"  n{parents[i]} -> n{i};" for i in range(1, len(parents))]
     lines.append("}")
     return "\n".join(lines) + "\n"

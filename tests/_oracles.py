@@ -224,6 +224,131 @@ def seedwise_compositionality(clause_lists, n: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# DPLL search
+# ---------------------------------------------------------------------------
+
+def reference_dpll(clause_lists, n: int, heuristic: str) -> dict:
+    """The package's documented DPLL search with its trace, written naively.
+
+    The search recurses once per decision and keeps its assignment in a
+    dict.  Propagation takes literals from a first-in, first-out queue; for
+    each, it scans every clause in formula order for those that contain the
+    literal's negation and checks each against the whole current
+    assignment.  A falsified clause marks the current tip as an UNSAT leaf
+    and ends the branch.  An unsatisfied clause with a single unassigned
+    literal forces it.  Through a clause of width <= 2, that is one
+    propagation node.  Through a wider clause it is a refutation node for
+    the excluded value (an UNSAT leaf, counted as a branch) and then the
+    propagation node, both children of the current tip.  At the root, each
+    time the queue is empty, the next unit clause in formula order is
+    checked the same way.  The decision variable is the first one, in the
+    heuristic's order, that is unassigned and occurs in a clause the
+    assignment does not satisfy, found by rescanning the whole order:
+    ascending index for "lowest-index", most clause occurrences first (ties
+    to the lower index) for "most-occurrences".  The true value is tried
+    first, and trying the false value counts as a branch.  SAT is declared
+    when no variable is left to pick.
+
+    Returns the trace as five per-node lists in creation order ("parents",
+    "kinds", "variables", "values", "leaves"; node 0 is the root, with
+    parent -1 and kind "root"), plus "satisfiable", "model" (None when
+    UNSAT), "branch_count", "backtrack_count" (the UNSAT leaves, less the
+    final one of an UNSAT run) and "free_variables".
+    """
+    parents, kinds, variables, values, leaves = [-1], ["root"], [None], [None], [None]
+    branches = 0
+
+    def add_node(parent, kind, lit, leaf=None):
+        parents.append(parent)
+        kinds.append(kind)
+        variables.append(abs(lit))
+        values.append(lit > 0)
+        leaves.append(leaf)
+        return len(parents) - 1
+
+    def satisfied(cl, assign):
+        return any(assign.get(abs(lit)) == (lit > 0) for lit in cl)
+
+    def propagate(assign, queue, tip, units=()):
+        nonlocal branches
+        units = list(units)
+        while queue or units:
+            if queue:
+                taken = queue.pop(0)
+                visit = [cl for cl in clause_lists if -taken in cl]
+            else:
+                visit = [units.pop(0)]
+            for cl in visit:
+                if satisfied(cl, assign):
+                    continue
+                unassigned = [lit for lit in cl if abs(lit) not in assign]
+                if not unassigned:
+                    leaves[tip] = "UNSAT"
+                    return None
+                if len(unassigned) == 1:
+                    forced = unassigned[0]
+                    if len(cl) >= 3:
+                        add_node(tip, "refutation", -forced, "UNSAT")
+                        branches += 1
+                    assign[abs(forced)] = forced > 0
+                    queue.append(forced)
+                    tip = add_node(tip, "propagation", forced)
+        return tip
+
+    order = list(range(1, n + 1))
+    if heuristic == "most-occurrences":
+        occurrences = {v: sum(abs(lit) == v for cl in clause_lists for lit in cl) for v in order}
+        order.sort(key=lambda v: -occurrences[v])
+
+    def pick(assign):
+        for var in order:
+            if var in assign:
+                continue
+            for cl in clause_lists:
+                if any(abs(lit) == var for lit in cl) and not satisfied(cl, assign):
+                    return var
+        return None
+
+    def search(assign, tip):
+        nonlocal branches
+        var = pick(assign)
+        if var is None:
+            leaves[tip] = "SAT"
+            return assign
+        for lit in (var, -var):
+            if lit < 0:
+                branches += 1
+            child = dict(assign)
+            child[var] = lit > 0
+            end = propagate(child, [lit], add_node(tip, "decision", lit))
+            if end is not None:
+                model = search(child, end)
+                if model is not None:
+                    return model
+        return None
+
+    root = {}
+    units = [cl for cl in clause_lists if len(cl) == 1]
+    tip = propagate(root, [], 0, units)
+    model = None if tip is None else search(root, tip)
+    conflicts = leaves.count("UNSAT")
+    return {
+        "parents": parents,
+        "kinds": kinds,
+        "variables": variables,
+        "values": values,
+        "leaves": leaves,
+        "satisfiable": model is not None,
+        "model": model,
+        "branch_count": branches,
+        "backtrack_count": conflicts if model is not None else max(0, conflicts - 1),
+        "free_variables": ()
+        if model is None
+        else tuple(v for v in range(1, n + 1) if v not in model),
+    }
+
+
+# ---------------------------------------------------------------------------
 # Graph problems
 # ---------------------------------------------------------------------------
 

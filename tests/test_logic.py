@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import time
 
 import pytest
@@ -27,6 +28,7 @@ from _oracles import (
     is_satisfiable,
     naive_reachable,
     naive_unit_closure,
+    reference_dpll,
     rescan_unit_propagate,
 )
 
@@ -68,6 +70,14 @@ def mixed_cnf_and_seed(draw):
     clause_lists = draw(st.lists(signed_literals(n, 1, min(4, n)), max_size=12))
     seed = draw(signed_literals(n, 0, min(3, n)))
     return formula(clause_lists, n), clause_lists, seed
+
+
+@st.composite
+def mixed_cnf(draw):
+    """Clauses of widths 1-4 over at most 12 variables, with their lists."""
+    n = draw(st.integers(1, 12))
+    clause_lists = draw(st.lists(signed_literals(n, 1, min(4, n)), max_size=40))
+    return formula(clause_lists, n), clause_lists
 
 
 class TestImplications:
@@ -429,6 +439,23 @@ class TestDpll:
         assert res.satisfiable
         assert tr.node_count() == 2
 
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_cnf(), st.sampled_from(HEURISTICS))
+    def test_trace_matches_reference_search(self, case, heuristic):
+        f, clause_lists = case
+        res, tr = dpll_solve(f, heuristic=heuristic)
+        ref = reference_dpll(clause_lists, f.variable_count, heuristic)
+        assert tr.parents == ref["parents"]
+        assert tr.kinds == ref["kinds"]
+        assert tr.variables == ref["variables"]
+        assert tr.values == ref["values"]
+        assert tr.leaves == ref["leaves"]
+        assert res.satisfiable == ref["satisfiable"]
+        assert res.model == ref["model"]
+        assert tr.branch_count == ref["branch_count"]
+        assert tr.backtrack_count == ref["backtrack_count"]
+        assert tr.free_variables == ref["free_variables"]
+
     def test_trace_counters_in_json(self):
         _, tr = dpll_solve(formula([[-1, -2, 3]], 3))
         d = tr.to_json_dict()
@@ -437,6 +464,10 @@ class TestDpll:
         assert d["backtrackCount"] == 1
         assert d["nodeCount"] == tr.node_count()
         assert "root" not in d  # the tree itself stays out of the JSON
+
+
+NODE_LINE = re.compile(r'  n(\d+) \[label="([^"]*)"(, shape=doublecircle)?(, style=filled)?\];')
+EDGE_LINE = re.compile(r"  n(\d+) -> n(\d+);")
 
 
 class TestDotExport:
@@ -456,3 +487,29 @@ class TestDotExport:
         assert 'x3=false (UNSAT)' in dot
         assert "style=filled" in dot
         assert dot == trace_to_dot(tr)
+
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_cnf(), st.sampled_from(HEURISTICS))
+    def test_trace_dot_parses_back_to_the_trace(self, case, heuristic):
+        _, tr = dpll_solve(case[0], heuristic=heuristic)
+        lines = trace_to_dot(tr).split("\n")
+        assert lines[:2] == ["digraph derivation_trace {", "  rankdir=TB;"]
+        assert lines[-2:] == ["}", ""]
+        nodes, edges = [], []
+        for line in lines[2:-2]:
+            if node := NODE_LINE.fullmatch(line):
+                nodes.append((int(node[1]), node[2], bool(node[3]), bool(node[4])))
+            else:
+                edge = EDGE_LINE.fullmatch(line)
+                assert edge, f"not a node or edge line: {line!r}"
+                edges.append((int(edge[1]), int(edge[2])))
+        expected = []
+        for i, (kind, var, value, leaf) in enumerate(
+            zip(tr.kinds, tr.variables, tr.values, tr.leaves)
+        ):
+            label = "Start" if i == 0 else f"x{var}={str(value).lower()}"
+            if leaf is not None:
+                label += f" ({leaf})"
+            expected.append((i, label, kind == "decision", leaf == "UNSAT"))
+        assert nodes == expected
+        assert edges == [(tr.parents[i], i) for i in range(1, tr.node_count())]

@@ -5,11 +5,14 @@
 Run from anywhere; OTHER_CHECKOUT is the root of another copy of this
 repository, typically the parent commit.  The command lists of both
 workloads (``count-narrow`` and ``search``) are built once, for every seed,
-from this checkout's ``perfbench/workloads.py``.  Each checkout then runs
-all of them in-process through its own ``cdfsat.cli.main``, in one
-subprocess per checkout, with stdin, stdout and stderr held in memory; a
-piped command reads the stdout of its source command in the same
-checkout.  The tool prints how many commands gave the same stdout, stderr
+from this checkout's ``perfbench/workloads.py``.  Each ``analyze -`` and
+``export-dot trace -`` command is then added once more with ``--heuristic
+most-occurrences``, so that both DPLL search orders are compared, not only
+the default ``lowest-index``; at seeds 7 and 3 that makes 806 commands,
+against 428 without these twins.  Each checkout then runs all of them
+in-process through its own ``cdfsat.cli.main``, in one subprocess per
+checkout, with stdin, stdout and stderr held in memory; a piped command
+reads the stdout of its source command in the same checkout.  The tool prints how many commands gave the same stdout, stderr
 and exit code in both, and the label of each that did not; where stdout
 differs, it also prints the differing lines (a unified diff without
 context, this checkout's lines marked ``+``), at most 10 per command.  It
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import difflib
 import hashlib
 import io
@@ -31,6 +35,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("count-narrow", "search")
 MAX_DIFF_LINES = 10
+OTHER_HEURISTIC = ("--heuristic", "most-occurrences")
 
 
 def _import_cli(src: Path):
@@ -90,6 +95,17 @@ def _results(checkout: Path, payload: str) -> list[list[str]]:
     return json.loads(proc.stdout)
 
 
+def _with_twins(commands: list) -> list:
+    """``commands``, then a twin of each DPLL command run with the other
+    heuristic.  The twins come after every original, so a twin's
+    ``pipe_from`` still names its original's source command."""
+    twins = [dataclasses.replace(c, label=f"{c.label} {' '.join(OTHER_HEURISTIC)}",
+                                 argv=c.argv + OTHER_HEURISTIC)
+             for c in commands
+             if c.argv[:2] == ("analyze", "-") or c.argv[:3] == ("export-dot", "trace", "-")]
+    return commands + twins
+
+
 def _changed_lines(theirs: str, mine: str) -> list[str]:
     """The first MAX_DIFF_LINES removed (-) and added (+) lines, indented."""
     diff = difflib.unified_diff(theirs.splitlines(), mine.splitlines(), n=0, lineterm="")
@@ -115,7 +131,7 @@ def main(argv: list[str] | None = None) -> int:
     import workloads
 
     seeds = [int(s) for s in args.seeds.split(",")]
-    runs = [(w, s, workloads.build(w, s)) for w in WORKLOADS for s in seeds]
+    runs = [(w, s, _with_twins(workloads.build(w, s))) for w in WORKLOADS for s in seeds]
     payload = json.dumps([[[list(c.argv), c.stdin, c.pipe_from] for c in commands]
                           for _, _, commands in runs])
     here, other = _results(ROOT, payload), _results(args.other, payload)
