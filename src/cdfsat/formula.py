@@ -135,25 +135,16 @@ def width_profile(f: CnfFormula) -> dict[int, int]:
     return dict(sorted(profile.items()))
 
 
-def literal_satisfied(lit: int, assignment: Assignment) -> bool | None:
-    """True/False if the literal's variable is assigned, None if free."""
-    value = assignment.get(abs(lit))
-    if value is None:
-        return None
-    return value if lit > 0 else not value
-
-
-def clause_satisfied(cl: Clause, assignment: Assignment) -> bool:
-    return any(literal_satisfied(lit, assignment) for lit in cl)
-
-
 def satisfies(f: CnfFormula, assignment: Assignment) -> bool:
     """Whether every clause has a literal made true by ``assignment``.
 
-    Works for partial assignments too: a clause whose literals are all free
-    or false counts as unsatisfied.
+    The assignment becomes the set of its true literals, and each clause is
+    one disjointness test against that set.  Works for partial assignments
+    too: a variable left out, or mapped to None, is free, and a clause whose
+    literals are all free or false counts as unsatisfied.
     """
-    return all(clause_satisfied(cl, assignment) for cl in f.clauses)
+    true = {v if val else -v for v, val in assignment.items() if val is not None}
+    return not any(map(true.isdisjoint, (cl.literals for cl in f.clauses)))
 
 
 # ---------------------------------------------------------------------------

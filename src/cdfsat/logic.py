@@ -33,10 +33,21 @@ the trail of assigned literals in assignment order, and the queue of
 literals still to propagate, which is the trail's unpropagated tail, as in
 MiniSat (Een & Sorensson, SAT 2003).  Clauses are checked against the
 value table when visited, and the search is SAT once no unassigned
-variable occurs in an unsatisfied clause.  The trace is a tree
-stored flat, as parallel per-node lists (parent, kind, variable, value,
-leaf) in depth-first preorder, so searching, counting, measuring and
-rendering are loops with no recursion, however deep the search goes.
+variable occurs in an unsatisfied clause.  The search also stops at
+autarkies (Monien & Speckenmeyer 1985): an assignment is an autarky when
+it satisfies every clause holding the negation of one of its literals, and
+then the formula is satisfiable exactly when the clauses it leaves
+untouched are.  So when both values of a decision taken under an autarky
+fail, the formula is UNSAT, and the search returns at once instead of
+backtracking further.  In a 2-CNF formula every level that propagates
+without conflict is autarkic, so each decision is tried at most twice, as
+in Even, Itai & Shamir (1976).  A satisfiable formula never exhausts the
+subtree below an autarky, so the cut leaves SAT traces unchanged.
+
+The trace is a tree stored flat, as parallel per-node lists (parent, kind,
+variable, value, leaf) in depth-first preorder, so searching, counting,
+measuring and rendering are loops with no recursion, however deep the
+search goes.
 """
 
 from __future__ import annotations
@@ -573,43 +584,69 @@ class _DpllSearch:
                     satisfied.add(idx)
         return None
 
+    def _autarkic(self, mark: int) -> bool:
+        """Whether every clause holding the negation of a literal set at the
+        current level, ``trail[mark:]``, is satisfied.  The level is then
+        autarkic if its parent level is: the whole assignment satisfies
+        every clause it touches."""
+        value, occ, clauses = self.value, self.occ, self.clauses
+        for lit in self.trail[mark:]:
+            for idx in occ.get(-lit, ()):
+                if not any(map(value.__getitem__, clauses[idx])):
+                    return False
+        return True
+
     def _search(self) -> bool:
         """Depth-first search over an explicit stack of open decisions.
 
         The search state is the value table, the trail, the queue (the
         trail's tail that ``_propagate`` has not yet taken) and the frames.
         A frame is (literal tried, parent node, length of the trail before
-        the literal, order position of its variable).  The true value is
-        tried first, so a negative literal means both values have been
-        tried.  On a conflict the loop drops those frames, pops the trail
-        back to the newest remaining frame's mark, clearing both value
-        entries of every literal it pops, and flips that frame's literal;
-        the search is UNSAT when no frame remains.
+        the literal, order position of its variable, whether the level it
+        was decided on is autarkic).  The true value is tried first, so a
+        negative literal means both values have been tried.  On a conflict
+        the loop drops those frames, pops the trail back to the newest
+        remaining frame's mark, clearing both value entries of every
+        literal it pops, and flips that frame's literal; the search is
+        UNSAT when no frame remains, or as soon as a frame it would drop
+        was decided on an autarkic level.
+
+        A level is the literals a decision sets, ``trail[mark:]`` (at the
+        root, the literals the unit clauses force).  It is autarkic when
+        its parent level is (the root's parent, the empty assignment, is)
+        and ``_autarkic`` holds after it propagates without conflict; the
+        check is skipped once the parent level is not autarkic.
         """
         value, trail, order = self.value, self.trail, self.order
-        frames: list[tuple[int, int, int, int]] = []
+        frames: list[tuple[int, int, int, int, bool]] = []
         tip = self._propagate(0, 0, self.units)
+        # the root level's parent is the empty assignment, an autarky
+        autarkic, mark = True, 0
         pos: int | None = 0
         while True:
             if tip is not None:
+                if autarkic:
+                    autarkic = self._autarkic(mark)
                 pos = self._pick_variable(pos)
                 if pos is None:
                     self.leaves[tip] = "SAT"
                     return True  # the trail is left in place as the model
                 lit, parent, mark = order[pos], tip, len(trail)
-                frames.append((lit, parent, mark, pos))
+                frames.append((lit, parent, mark, pos, autarkic))
             else:
                 while frames and frames[-1][0] < 0:
+                    if frames[-1][4]:
+                        return False  # refuted below an autarky
                     frames.pop()
                 if not frames:
                     return False
-                lit, parent, mark, pos = frames[-1]
+                lit, parent, mark, pos, autarkic = frames[-1]
                 while len(trail) > mark:
                     undone = trail.pop()
                     value[undone] = value[-undone] = None
                 self.branch_count += 1
                 lit = -lit
-                frames[-1] = (lit, parent, mark, pos)
+                frames[-1] = (lit, parent, mark, pos, autarkic)
             self.parents.append(parent)
             self.kinds.append("decision")
             self.variables.append(abs(lit))
@@ -659,7 +696,9 @@ def dpll_solve(
     "most-occurrences" the variable occurring in the most clauses of the
     original formula (static counts, ties to the lowest index).  The true
     branch is always tried first.  SAT is declared as soon as every clause
-    is satisfied; variables never assigned are reported free.
+    is satisfied; variables never assigned are reported free.  UNSAT is
+    declared once no decision is left to flip, or as soon as both values
+    of a decision taken under an autarky have failed.
     """
     if heuristic not in HEURISTICS:
         raise ValueError(f"unknown heuristic {heuristic!r}, expected one of {HEURISTICS}")

@@ -249,6 +249,14 @@ def reference_dpll(clause_lists, n: int, heuristic: str) -> dict:
     first, and trying the false value counts as a branch.  SAT is declared
     when no variable is left to pick.
 
+    The search stops early at autarkies.  An assignment is an autarky when
+    every clause that holds the negation of one of its literals is
+    satisfied.  The assignment after the root's propagation is autarkic
+    when it is an autarky; the assignment after a decision's propagation
+    is autarkic when it is an autarky and the assignment the decision was
+    taken under is autarkic.  When both values of a decision taken under
+    an autarkic assignment fail, the whole search ends as UNSAT.
+
     Returns the trace as five per-node lists in creation order ("parents",
     "kinds", "variables", "values", "leaves"; node 0 is the root, with
     parent -1 and kind "root"), plus "satisfiable", "model" (None when
@@ -309,8 +317,17 @@ def reference_dpll(clause_lists, n: int, heuristic: str) -> dict:
                     return var
         return None
 
-    def search(assign, tip):
-        nonlocal branches
+    def is_autarky(assign):
+        return all(
+            satisfied(cl, assign)
+            for cl in clause_lists
+            if any(assign.get(abs(lit)) == (lit < 0) for lit in cl)
+        )
+
+    cut = False
+
+    def search(assign, tip, autarkic):
+        nonlocal branches, cut
         var = pick(assign)
         if var is None:
             leaves[tip] = "SAT"
@@ -322,15 +339,16 @@ def reference_dpll(clause_lists, n: int, heuristic: str) -> dict:
             child[var] = lit > 0
             end = propagate(child, [lit], add_node(tip, "decision", lit))
             if end is not None:
-                model = search(child, end)
-                if model is not None:
+                model = search(child, end, autarkic and is_autarky(child))
+                if model is not None or cut:
                     return model
+        cut = autarkic
         return None
 
     root = {}
     units = [cl for cl in clause_lists if len(cl) == 1]
     tip = propagate(root, [], 0, units)
-    model = None if tip is None else search(root, tip)
+    model = None if tip is None else search(root, tip, is_autarky(root))
     conflicts = leaves.count("UNSAT")
     return {
         "parents": parents,

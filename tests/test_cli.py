@@ -11,7 +11,7 @@ import time
 import pytest
 
 from cdfsat import cli
-from cdfsat.formula import parse_dimacs
+from cdfsat.formula import formula, generate_random_ksat, parse_dimacs, write_dimacs
 
 CHAIN = "p cnf 3 2\n-1 2 0\n-2 3 0\n"
 WIDE = "p cnf 3 1\n-1 -2 3 0\n"
@@ -133,6 +133,36 @@ class TestAnalyze:
         proc = run_cli("analyze", "-", "--quiet", stdin_text="p cnf 3 1\n1 -2 3 0\n%\n0\n")
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["formula"]["clauseCount"] == 1
+
+    def test_narrow_unsat_search_stops_at_autarky(self, tmp_path, capsys, monkeypatch):
+        # 8 free clauses (x_i | y_i), then an UNSAT core on a, b, c: DPLL
+        # refuted the core under each of the 2^8 settings of x (1790 nodes,
+        # 511 backtracks) before it stopped at autarkic levels
+        monkeypatch.delenv("CDFSAT_CAP", raising=False)
+        k = 8
+        a, b, c = 2 * k + 1, 2 * k + 2, 2 * k + 3
+        clause_lists = [[i, k + i] for i in range(1, k + 1)]
+        clause_lists += [[a, b], [a, -b], [-a, c], [-a, -c]]
+        path = tmp_path / "thrash.cnf"
+        path.write_text(write_dimacs(formula(clause_lists, 2 * k + 3)))
+        assert run_main(["analyze", str(path), "--quiet"]) == 0
+        dpll = json.loads(capsys.readouterr().out)["logic"]["dpll"]
+        assert dpll["result"] == "UNSAT"
+        assert (dpll["backtrackCount"], dpll["branchCount"], dpll["nodeCount"]) == (1, 1, 13)
+
+    def test_largest_unsat_2sat_ends_in_report(self):
+        # the largest size the variable limit admits; DPLL was killed by the
+        # host before it finished, and the child gets 1 GiB and 20 s so that
+        # a regression fails here instead
+        text = write_dimacs(generate_random_ksat(14000, 14000, 2, 1))
+        proc = run_cli("analyze", "-", "--quiet", stdin_text=text,
+                       timeout=20, preexec_fn=_cap_address_space)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 2  # counting 14000 variables is past the cap
+        report = json.loads(proc.stdout)
+        assert report["semantics"]["intractable"]
+        assert report["logic"]["dpll"]["result"] == "UNSAT"
+        assert report["logic"]["twoSat"]["result"] == "UNSAT"
 
 
 class TestConfigPrecedence:

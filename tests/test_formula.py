@@ -22,6 +22,8 @@ from cdfsat.formula import (
     write_dimacs,
 )
 
+from _oracles import partial_formula_satisfied
+
 
 class TestClause:
     def test_width_and_iteration(self):
@@ -102,6 +104,24 @@ class TestCnfFormula:
         f = formula([[-1, 2]], 2)
         assert satisfies(f, {1: False})  # ~x already satisfies the clause
         assert not satisfies(f, {1: True})  # y still free: not yet satisfied
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_satisfies_matches_oracle(self, data):
+        # total assignments, and partial ones that leave variables out or
+        # map them to None (free either way)
+        n = data.draw(st.integers(1, 8))
+        clause_lists = data.draw(st.lists(
+            st.lists(st.integers(1, n), min_size=1, max_size=min(4, n), unique=True).flatmap(
+                lambda vs: st.tuples(*(st.sampled_from((v, -v)) for v in vs)).map(list)),
+            max_size=12,
+        ))
+        total = data.draw(st.booleans())
+        values = st.booleans() if total else st.sampled_from((True, False, None))
+        variables = st.just(range(1, n + 1)) if total else st.sets(st.integers(1, n))
+        assignment = {v: data.draw(values) for v in data.draw(variables)}
+        f = formula(clause_lists, n)
+        assert satisfies(f, assignment) == partial_formula_satisfied(clause_lists, assignment)
 
 
 class TestDimacs:

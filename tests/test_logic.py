@@ -24,6 +24,7 @@ from cdfsat.logic import (
 )
 
 from _oracles import (
+    fast_count_models,
     fast_satisfiable,
     is_satisfiable,
     naive_reachable,
@@ -78,6 +79,51 @@ def mixed_cnf(draw):
     n = draw(st.integers(1, 12))
     clause_lists = draw(st.lists(signed_literals(n, 1, min(4, n)), max_size=40))
     return formula(clause_lists, n), clause_lists
+
+
+def _core_clauses(draw, variables, path=()):
+    """The negated paths of a random complete decision tree over
+    ``variables``: an UNSAT clause set, one clause per leaf, of widths 1 up
+    to the tree's depth."""
+    remaining = [v for v in variables if all(abs(lit) != v for lit in path)]
+    if path and (not remaining or draw(st.booleans())):
+        return [[-lit for lit in path]]
+    v = draw(st.sampled_from(remaining))
+    return _core_clauses(draw, variables, path + (v,)) + _core_clauses(draw, variables, path + (-v,))
+
+
+@st.composite
+def free_clauses_then_core(draw):
+    """A few free clauses on the lowest indices, then a small UNSAT core.
+
+    The free clauses have widths 1-4 over variables 1..k, and the core is
+    the negated paths of a decision tree over up to four more variables.
+    DPLL decides free variables before (lowest-index) or between
+    (most-occurrences) the core's, so it refutes the core under one
+    setting of them after another, unless it stops at an autarky.
+    """
+    k = draw(st.integers(2, 6))
+    free = draw(st.lists(signed_literals(k, 1, min(4, k)), min_size=1, max_size=5))
+    core_size = draw(st.integers(1, 4))
+    core = _core_clauses(draw, tuple(range(k + 1, k + core_size + 1)))
+    clause_lists = free + core
+    return formula(clause_lists, k + core_size), clause_lists
+
+
+def assert_matches_reference_search(f, clause_lists, heuristic):
+    res, tr = dpll_solve(f, heuristic=heuristic)
+    ref = reference_dpll(clause_lists, f.variable_count, heuristic)
+    assert tr.parents == ref["parents"]
+    assert tr.kinds == ref["kinds"]
+    assert tr.variables == ref["variables"]
+    assert tr.values == ref["values"]
+    assert tr.leaves == ref["leaves"]
+    assert res.satisfiable == ref["satisfiable"]
+    assert res.model == ref["model"]
+    assert tr.branch_count == ref["branch_count"]
+    assert tr.backtrack_count == ref["backtrack_count"]
+    assert tr.free_variables == ref["free_variables"]
+    return res
 
 
 class TestImplications:
@@ -443,18 +489,22 @@ class TestDpll:
     @given(mixed_cnf(), st.sampled_from(HEURISTICS))
     def test_trace_matches_reference_search(self, case, heuristic):
         f, clause_lists = case
-        res, tr = dpll_solve(f, heuristic=heuristic)
-        ref = reference_dpll(clause_lists, f.variable_count, heuristic)
-        assert tr.parents == ref["parents"]
-        assert tr.kinds == ref["kinds"]
-        assert tr.variables == ref["variables"]
-        assert tr.values == ref["values"]
-        assert tr.leaves == ref["leaves"]
-        assert res.satisfiable == ref["satisfiable"]
-        assert res.model == ref["model"]
-        assert tr.branch_count == ref["branch_count"]
-        assert tr.backtrack_count == ref["backtrack_count"]
-        assert tr.free_variables == ref["free_variables"]
+        assert_matches_reference_search(f, clause_lists, heuristic)
+
+    @settings(max_examples=200, deadline=None)
+    @given(free_clauses_then_core(), st.sampled_from(HEURISTICS))
+    def test_autarky_cut_matches_reference_search(self, case, heuristic):
+        f, clause_lists = case
+        res = assert_matches_reference_search(f, clause_lists, heuristic)
+        assert res.satisfiable == (fast_count_models(clause_lists, f.variable_count) > 0)
+
+    def test_random_unsat_2sat_within_budget(self):
+        # 15 s and 9.0M trace nodes with chronological backtracking alone
+        f = generate_random_ksat(200, 200, 2, 43)
+        start = time.perf_counter()
+        res, _ = dpll_solve(f)
+        assert time.perf_counter() - start < 1.0
+        assert not res.satisfiable
 
     def test_trace_counters_in_json(self):
         _, tr = dpll_solve(formula([[-1, -2, 3]], 3))

@@ -9,14 +9,19 @@ from this checkout's ``perfbench/workloads.py``.  Each ``analyze -`` and
 ``export-dot trace -`` command is then added once more with ``--heuristic
 most-occurrences``, so that both DPLL search orders are compared, not only
 the default ``lowest-index``; at seeds 7 and 3 that makes 806 commands,
-against 428 without these twins.  Each checkout then runs all of them
-in-process through its own ``cdfsat.cli.main``, in one subprocess per
-checkout, with stdin, stdout and stderr held in memory; a piped command
-reads the stdout of its source command in the same checkout.  The tool prints how many commands gave the same stdout, stderr
-and exit code in both, and the label of each that did not; where stdout
-differs, it also prints the differing lines (a unified diff without
-context, this checkout's lines marked ``+``), at most 10 per command.  It
-exits 1 on any difference and 0 otherwise.
+against 428 without these twins.  Last come ``export-dot trace -`` on a
+fixed corpus of CORPUS_SIZE small random formulas (n <= 14, clause widths
+1-4, the same for every seed; see ``_corpus``), also under both
+heuristics, so that changes to the search are checked trace by trace on
+SAT and UNSAT formulas alike: 1806 commands in all at seeds 7 and 3.
+Each checkout then runs all of them in-process through its own
+``cdfsat.cli.main``, in one subprocess per checkout, with stdin, stdout
+and stderr held in memory; a piped command reads the stdout of its
+source command in the same checkout.  The tool prints how many commands
+gave the same stdout, stderr and exit code in both, and the label of each
+that did not; where stdout differs, it also prints the differing lines (a
+unified diff without context, this checkout's lines marked ``+``), at
+most 10 per command.  It exits 1 on any difference and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import difflib
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -36,6 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("count-narrow", "search")
 MAX_DIFF_LINES = 10
 OTHER_HEURISTIC = ("--heuristic", "most-occurrences")
+CORPUS_SIZE = 500
 
 
 def _import_cli(src: Path):
@@ -106,6 +113,38 @@ def _with_twins(commands: list) -> list:
     return commands + twins
 
 
+def _corpus(workloads) -> list:
+    """``export-dot trace -`` on each formula of the corpus.
+
+    A formula is two variable-disjoint random blocks: on the lowest 1-7
+    variables, up to two clauses per variable, of widths 1-4; on the next
+    1-7, up to eight clauses per variable, of widths 2-4.  Each clause has
+    distinct variables and random polarities.  The low block is decided
+    first and the dense high block is often UNSAT, which is where the
+    search's stopping rules show in the trace; uniform random formulas of
+    this size almost never reach them.
+    """
+    rng = random.Random("compare-outputs-corpus")
+
+    def block(first: int, size: int, per_variable: int, min_width: int) -> list:
+        variables = range(first, first + size)
+        return [tuple(v if rng.getrandbits(1) else -v
+                      for v in rng.sample(variables, min(size, rng.randint(min_width, 4))))
+                for _ in range(rng.randint(0, per_variable * size))]
+
+    commands = []
+    for i in range(CORPUS_SIZE):
+        low, high = rng.randint(1, 7), rng.randint(1, 7)
+        n = low + high
+        clauses = tuple(block(1, low, 2, 1) + block(low + 1, high, 8, 2))
+        text = f"p cnf {n} {len(clauses)}\n" + "".join(
+            " ".join(map(str, cl)) + " 0\n" for cl in clauses)
+        commands.append(workloads.Command(
+            f"export-dot trace corpus #{i} n={n} m={len(clauses)}",
+            ("export-dot", "trace", "-"), workloads.Cnf(clauses, n), stdin=text))
+    return commands
+
+
 def _changed_lines(theirs: str, mine: str) -> list[str]:
     """The first MAX_DIFF_LINES removed (-) and added (+) lines, indented."""
     diff = difflib.unified_diff(theirs.splitlines(), mine.splitlines(), n=0, lineterm="")
@@ -131,19 +170,21 @@ def main(argv: list[str] | None = None) -> int:
     import workloads
 
     seeds = [int(s) for s in args.seeds.split(",")]
-    runs = [(w, s, _with_twins(workloads.build(w, s))) for w in WORKLOADS for s in seeds]
+    runs = [(f"{w} seed {s}", _with_twins(workloads.build(w, s)))
+            for w in WORKLOADS for s in seeds]
+    runs.append(("corpus", _with_twins(_corpus(workloads))))
     payload = json.dumps([[[list(c.argv), c.stdin, c.pipe_from] for c in commands]
-                          for _, _, commands in runs])
+                          for _, commands in runs])
     here, other = _results(ROOT, payload), _results(args.other, payload)
-    labels = [(w, s, c.label) for w, s, commands in runs for c in commands]
+    labels = [(run, c.label) for run, commands in runs for c in commands]
     same = 0
-    for (workload, seed, label), mine, theirs in zip(labels, here, other):
+    for (run, label), mine, theirs in zip(labels, here, other):
         if mine == theirs:
             same += 1
             continue
         parts = [part for part, a, b in zip(("stdout", "stderr", "exit code"), mine, theirs)
                  if a != b]
-        print(f"differs: {workload} seed {seed}: {label} ({', '.join(parts)})")
+        print(f"differs: {run}: {label} ({', '.join(parts)})")
         if mine[0] != theirs[0]:
             for line in _changed_lines(theirs[0], mine[0]):
                 print(line)
