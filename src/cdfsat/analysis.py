@@ -285,7 +285,10 @@ def measure_growth(
     n_values must be strictly increasing with at least 3 entries.  Sizes
     beyond the enumeration cap still measure exactly when the family member
     is variable-disjoint (closed-form product); otherwise that n lands in
-    failed_n and the fit proceeds on the remaining samples.
+    failed_n, as does an unsatisfiable member, and the fit proceeds on the
+    remaining samples.  Fewer than 3 remaining samples raise ValueError:
+    two points fit both models exactly, and the tie would always go to
+    Exponential.
     """
     ns = list(n_values)
     if len(ns) < 3:
@@ -305,6 +308,11 @@ def measure_growth(
             failed.append(n)
             continue
         samples.append(GrowthSample(n, img.count, log2_count(img.count)))
+    if len(samples) < 3:
+        raise ValueError(
+            f"need at least 3 measured samples to fit growth, got {len(samples)} "
+            f"(failed n: {', '.join(map(str, failed))})"
+        )
     return fit_growth(samples, failed)
 
 

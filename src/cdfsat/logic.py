@@ -19,6 +19,14 @@ seed-by-seed comparison of the two fragments.  A width->=3 clause has no
 implication form at all, which ``clause_to_implications`` reports as
 WideClauseError.
 
+``ImplicationGraph`` stores its edges as one list indexed by literal, where
+a negative literal indexes from the end, as in the DPLL value table below:
+entry u is the tuple of u's successors in canonical order (by variable,
+positive first).  ``build_implication_graph`` fills it straight from the
+clause literals.  ``solve_2sat`` decides a width-<=2 formula in linear
+time by strongly connected components (Aspvall, Plass & Tarjan 1979),
+running Tarjan's algorithm over lists indexed the same way.
+
 ``dpll_solve`` is a complete backtracking search, unit propagation first.
 Its trace distinguishes how each assignment was obtained: a forcing through
 a width-<=2 clause is a direct implication step and appears as a single
@@ -107,34 +115,55 @@ def clause_to_implications(cl: Clause) -> tuple[Implication, ...]:
     raise WideClauseError(cl)
 
 
+def _successor_tuples(heads: list[list[int]]) -> list[tuple[int, ...]]:
+    # each literal's successors, duplicates dropped, in canonical order
+    return [tuple(sorted(set(s), key=_lit_key)) if len(s) > 1 else tuple(s) for s in heads]
+
+
 class ImplicationGraph:
     """Directed graph over all 2n literals of variables 1..n.
 
     The edge set is closed under contraposition at construction: inserting
     u => v also inserts ~v => ~u, so the invariant holds no matter how the
     graph was assembled.  Isolated literals are still nodes.  Edges are
-    stored once, as each literal's successors in canonical order.
+    stored once, as one list indexed by literal, where a negative literal
+    indexes from the end (as in the DPLL value table): entry u is the tuple
+    of u's successors in canonical order, and entry 0 is empty.
     """
 
     def __init__(self, variable_count: int, edges: Iterable[Implication] = ()):
         if variable_count < 0:
             raise ValueError("variable_count must be >= 0")
-        self.variable_count = variable_count
-        adj: dict[int, set[int]] = {}
+        heads: list[list[int]] = [[] for _ in range(2 * variable_count + 1)]
         for e in edges:
-            for lit in (e.antecedent, e.consequent):
+            u, v = e.antecedent, e.consequent
+            for lit in (u, v):
                 if lit == 0 or abs(lit) > variable_count:
                     raise ValueError(f"literal {lit} outside variable range")
-            adj.setdefault(e.antecedent, set()).add(e.consequent)
-            adj.setdefault(-e.consequent, set()).add(-e.antecedent)
-        self._adj = {u: tuple(sorted(vs, key=_lit_key)) for u, vs in adj.items()}
+            heads[u].append(v)
+            heads[-v].append(-u)
+        self.variable_count = variable_count
+        self._succ = _successor_tuples(heads)
+
+    @classmethod
+    def _from_heads(cls, variable_count: int, heads: list[list[int]]) -> ImplicationGraph:
+        """The graph whose edges are u => v for each v in heads[u]; the
+        caller guarantees the range and the contraposition closure."""
+        g = cls.__new__(cls)
+        g.variable_count = variable_count
+        g._succ = _successor_tuples(heads)
+        return g
 
     @property
     def edges(self) -> frozenset[Implication]:
-        return frozenset(Implication(u, v) for u, vs in self._adj.items() for v in vs)
+        succ = self._succ
+        return frozenset(Implication(u, v) for u in self.literals() for v in succ[u])
 
     def successors(self, lit: int) -> tuple[int, ...]:
-        return self._adj.get(lit, ())
+        # a literal past n would wrap around the list, so it is range-checked
+        if -self.variable_count <= lit <= self.variable_count:
+            return self._succ[lit]
+        return ()
 
     def literals(self) -> list[int]:
         out: list[int] = []
@@ -146,20 +175,35 @@ class ImplicationGraph:
         return (
             isinstance(other, ImplicationGraph)
             and self.variable_count == other.variable_count
-            and self._adj == other._adj
+            and self._succ == other._succ
         )
 
     def __repr__(self) -> str:
-        edge_count = sum(len(vs) for vs in self._adj.values())
+        edge_count = sum(map(len, self._succ))
         return f"ImplicationGraph(n={self.variable_count}, edges={edge_count})"
 
 
 def build_implication_graph(f: CnfFormula) -> ImplicationGraph:
-    """Union of the implication forms of every clause (all widths <= 2)."""
-    edges: list[Implication] = []
+    """Union of the implication forms of every clause (all widths <= 2).
+
+    The successor lists are filled straight from the clause literals: the
+    edges of a clause's implication form are already closed under
+    contraposition.  Raises WideClauseError on the first clause of width
+    >= 3.
+    """
+    heads: list[list[int]] = [[] for _ in range(2 * f.variable_count + 1)]
     for cl in f.clauses:
-        edges.extend(clause_to_implications(cl))
-    return ImplicationGraph(f.variable_count, edges)
+        lits = cl.literals
+        if len(lits) == 2:
+            a, b = lits
+            heads[-a].append(b)
+            heads[-b].append(a)
+        elif len(lits) == 1:
+            a = lits[0]
+            heads[-a].append(a)
+        else:
+            raise WideClauseError(cl)
+    return ImplicationGraph._from_heads(f.variable_count, heads)
 
 
 @dataclass(frozen=True)
@@ -320,62 +364,70 @@ class SolveResult:
         }
 
 
-def _tarjan_components(nodes: Sequence[int], graph: ImplicationGraph) -> dict[int, int]:
+def _tarjan_components(graph: ImplicationGraph) -> list[int]:
     """Strongly connected components, numbered in emission order.
 
-    Tarjan emits components sinks-first (reverse topological order of the
-    condensation), and the iteration order over ``nodes`` plus sorted
-    successor lists make the numbering deterministic.
+    Returns a list indexed by literal, like the graph's own successor list
+    (a negative literal indexes from the end), holding each literal's
+    component number.  Tarjan emits components sinks-first (reverse
+    topological order of the condensation).  Roots are taken in
+    ``literals()`` order (1, -1, 2, -2, ...) and successors in canonical
+    order, so the numbering is deterministic.  All per-literal state is in
+    lists indexed the same way: the visit number (0 for unvisited) and the
+    low link.  A visited literal is on the Tarjan stack exactly while it has
+    no component yet, so no separate on-stack set is kept.  A literal with
+    no successors is a component on its own and is emitted as soon as it is
+    reached, without a stack push.
     """
-    index_of: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
+    succ = graph._succ
+    size = len(succ)
+    index = [0] * size
+    low = [0] * size
+    comp = [-1] * size
     stack: list[int] = []
-    comp_of: dict[int, int] = {}
-    next_index = 0
+    next_index = 1
     next_comp = 0
-    for root in nodes:
-        if root in index_of:
-            continue
-        index_of[root] = low[root] = next_index
-        next_index += 1
-        stack.append(root)
-        on_stack.add(root)
-        call: list[tuple[int, int]] = [(root, 0)]
-        while call:
-            node, cursor = call[-1]
-            succ = graph.successors(node)
-            pushed = False
-            while cursor < len(succ):
-                w = succ[cursor]
-                cursor += 1
-                if w not in index_of:
-                    call[-1] = (node, cursor)
-                    index_of[w] = low[w] = next_index
-                    next_index += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    call.append((w, 0))
-                    pushed = True
-                    break
-                if w in on_stack and index_of[w] < low[node]:
-                    low[node] = index_of[w]
-            if pushed:
+    for var in range(1, graph.variable_count + 1):
+        for root in (var, -var):
+            if index[root]:
                 continue
-            call.pop()
-            if call:
-                parent = call[-1][0]
-                if low[node] < low[parent]:
-                    low[parent] = low[node]
-            if low[node] == index_of[node]:
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp_of[w] = next_comp
-                    if w == node:
-                        break
+            index[root] = low[root] = next_index
+            next_index += 1
+            if not succ[root]:
+                comp[root] = next_comp
                 next_comp += 1
-    return comp_of
+                continue
+            stack.append(root)
+            call = [(root, iter(succ[root]))]
+            while call:
+                node, successors = call[-1]
+                for w in successors:
+                    if not index[w]:
+                        index[w] = low[w] = next_index
+                        next_index += 1
+                        if succ[w]:
+                            stack.append(w)
+                            call.append((w, iter(succ[w])))
+                            break
+                        comp[w] = next_comp
+                        next_comp += 1
+                    elif comp[w] < 0 and index[w] < low[node]:
+                        low[node] = index[w]
+                else:
+                    call.pop()
+                    node_low = low[node]
+                    if call:
+                        parent = call[-1][0]
+                        if node_low < low[parent]:
+                            low[parent] = node_low
+                    if node_low == index[node]:
+                        while True:
+                            w = stack.pop()
+                            comp[w] = next_comp
+                            if w == node:
+                                break
+                        next_comp += 1
+    return comp
 
 
 def solve_2sat(f: CnfFormula) -> SolveResult:
@@ -389,11 +441,12 @@ def solve_2sat(f: CnfFormula) -> SolveResult:
     verified against every clause before it is returned.
     """
     g = build_implication_graph(f)  # raises WideClauseError on width >= 3
-    comp = _tarjan_components(g.literals(), g)
-    for v in range(1, f.variable_count + 1):
+    comp = _tarjan_components(g)
+    variables = range(1, f.variable_count + 1)
+    for v in variables:
         if comp[v] == comp[-v]:
             return SolveResult(False, None, witness_variable=v)
-    model = {v: comp[v] < comp[-v] for v in range(1, f.variable_count + 1)}
+    model = {v: comp[v] < comp[-v] for v in variables}
     if not satisfies(f, model):
         raise RuntimeError("2sat model extraction produced a non-model")
     return SolveResult(True, model, None)
@@ -588,11 +641,19 @@ class _DpllSearch:
         """Whether every clause holding the negation of a literal set at the
         current level, ``trail[mark:]``, is satisfied.  The level is then
         autarkic if its parent level is: the whole assignment satisfies
-        every clause it touches."""
+        every clause it touches.
+
+        Only clauses of width >= 3 are tested.  The check runs after a
+        propagation that ended without conflict, which took every literal
+        of the level from the queue and visited each clause holding its
+        negation; a visited clause of width <= 2 was then satisfied, or
+        its other literal was forced true, since one false literal leaves
+        it a conflict or a unit."""
         value, occ, clauses = self.value, self.occ, self.clauses
         for lit in self.trail[mark:]:
             for idx in occ.get(-lit, ()):
-                if not any(map(value.__getitem__, clauses[idx])):
+                cl = clauses[idx]
+                if len(cl) > 2 and not any(map(value.__getitem__, cl)):
                     return False
         return True
 
@@ -710,13 +771,18 @@ def dpll_solve(
 # ---------------------------------------------------------------------------
 
 def implication_graph_to_dot(g: ImplicationGraph) -> str:
-    """Graphviz text for an implication graph; node names are literal text."""
+    """Graphviz text for an implication graph; node names are literal text,
+    rendered once per literal."""
+    literals = g.literals()
+    names = [""] * len(g._succ)
+    for lit in literals:
+        names[lit] = f'"{lit_text(lit)}"'
     lines = ["digraph implication_graph {", "  rankdir=LR;"]
-    for lit in g.literals():
-        lines.append(f'  "{lit_text(lit)}";')
-    for u in g.literals():
-        for v in g.successors(u):
-            lines.append(f'  "{lit_text(u)}" -> "{lit_text(v)}";')
+    lines += [f"  {names[lit]};" for lit in literals]
+    succ = g._succ
+    for u in literals:
+        for v in succ[u]:
+            lines.append(f"  {names[u]} -> {names[v]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -224,6 +224,65 @@ def seedwise_compositionality(clause_lists, n: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# 2-SAT
+# ---------------------------------------------------------------------------
+
+def reference_2sat(clause_lists, n: int) -> dict:
+    """2-SAT by strongly connected components (Aspvall, Plass & Tarjan
+    1979), written naively.
+
+    The implication graph is a dict from each of the 2n literals to the
+    set of its successors: a clause (a | b) gives ~a => b and ~b => a, and
+    a unit clause (a) gives ~a => a.  Tarjan's algorithm recurses from the
+    literals in the order x1, ~x1, x2, ~x2, ..., visits successors in the
+    same order (by variable, positive first), and numbers the components in
+    the order it completes them.  The formula is UNSAT when a variable
+    shares a component with its negation, and the lowest such variable is
+    the witness.  Otherwise a variable is true when its positive literal's
+    component is numbered lower.
+
+    Returns "satisfiable", "model" (a dict over 1..n, None when UNSAT) and
+    "witness" (None when SAT).
+    """
+    literals = [lit for v in range(1, n + 1) for lit in (v, -v)]
+    successors = {lit: set() for lit in literals}
+    for cl in clause_lists:
+        if len(cl) == 1:
+            successors[-cl[0]].add(cl[0])
+        else:
+            a, b = cl
+            successors[-a].add(b)
+            successors[-b].add(a)
+    index, low, stack, component = {}, {}, [], {}
+
+    def visit(u):
+        index[u] = low[u] = len(index)
+        stack.append(u)
+        for w in sorted(successors[u], key=_lit_order):
+            if w not in index:
+                visit(w)
+                low[u] = min(low[u], low[w])
+            elif w in stack:
+                low[u] = min(low[u], index[w])
+        if low[u] == index[u]:
+            number = len(set(component.values()))
+            while True:
+                w = stack.pop()
+                component[w] = number
+                if w == u:
+                    break
+
+    for lit in literals:
+        if lit not in index:
+            visit(lit)
+    for v in range(1, n + 1):
+        if component[v] == component[-v]:
+            return {"satisfiable": False, "model": None, "witness": v}
+    model = {v: component[v] < component[-v] for v in range(1, n + 1)}
+    return {"satisfiable": True, "model": model, "witness": None}
+
+
+# ---------------------------------------------------------------------------
 # DPLL search
 # ---------------------------------------------------------------------------
 

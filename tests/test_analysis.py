@@ -278,6 +278,16 @@ class TestMeasureGrowth:
         with pytest.raises(ValueError, match="enumeration cap"):
             measure_growth(family, [68, 69, 70], enumeration_cap=70)
 
+    def test_two_surviving_samples_raise(self):
+        # two points would fit both models exactly and tie to Exponential
+        def family(n):
+            if n == 8:
+                return formula([[1, 2], [2, 3]], n)  # overlap past the cap
+            return formula([], n)
+
+        with pytest.raises(ValueError, match="at least 3 measured samples to fit growth, got 2"):
+            measure_growth(family, [4, 5, 8], enumeration_cap=6)
+
     def test_all_failures_raise(self):
         family = lambda n: formula([[1], [-1]], n)
         with pytest.raises(ValueError):

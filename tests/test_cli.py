@@ -288,6 +288,15 @@ class TestGrowth:
         fit = json.loads(proc.stdout)["growth"]
         assert 28 in fit["failedN"]
 
+    def test_two_surviving_sizes_exit_2(self):
+        # the n=28 member exceeds the cap, which leaves two sizes to fit
+        proc = run_cli(
+            "growth", "--k", "3", "--n", "4,5,28", "--density", "2", "--cap", "8",
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("cdfsat: error: need at least 3 measured samples")
+
     @pytest.mark.parametrize("density", ["1e400", "100001"])
     def test_clause_count_past_limit_exits_1(self, density):
         # without the limit, 1e400 draws floor(density * n) clauses until

@@ -11,6 +11,7 @@ from cdfsat.formula import clause, formula, generate_random_ksat, parse_dimacs, 
 from cdfsat.logic import (
     HEURISTICS,
     Implication,
+    ImplicationGraph,
     WideClauseError,
     build_implication_graph,
     clause_to_implications,
@@ -29,6 +30,7 @@ from _oracles import (
     is_satisfiable,
     naive_reachable,
     naive_unit_closure,
+    reference_2sat,
     reference_dpll,
     rescan_unit_propagate,
 )
@@ -71,6 +73,15 @@ def mixed_cnf_and_seed(draw):
     clause_lists = draw(st.lists(signed_literals(n, 1, min(4, n)), max_size=12))
     seed = draw(signed_literals(n, 0, min(3, n)))
     return formula(clause_lists, n), clause_lists, seed
+
+
+@st.composite
+def narrow_cnf(draw):
+    """Clauses of widths 1-2 over at most 12 variables, up to 3n of them:
+    unit clauses and a density past the 2-SAT threshold make UNSAT common."""
+    n = draw(st.integers(1, 12))
+    clause_lists = draw(st.lists(signed_literals(n, 1, min(2, n)), max_size=3 * n))
+    return formula(clause_lists, n), clause_lists
 
 
 @st.composite
@@ -153,8 +164,6 @@ class TestImplicationGraph:
         assert got == {("x1", "x2"), ("~x2", "~x1"), ("x2", "x3"), ("~x3", "~x2")}
 
     def test_contrapositive_closure_at_construction(self):
-        from cdfsat.logic import ImplicationGraph
-
         g = ImplicationGraph(2, frozenset({Implication(1, 2)}))
         assert Implication(-2, -1) in g.edges
 
@@ -169,6 +178,27 @@ class TestImplicationGraph:
     def test_wide_clause_rejected(self):
         with pytest.raises(WideClauseError):
             build_implication_graph(formula([[1, 2, 3]], 3))
+
+    def test_successors_outside_range_empty(self):
+        # x2 => x1 is stored at the index that -3 would wrap around to
+        g = build_implication_graph(formula([[-2, 1]], 2))
+        assert g.successors(2) == (1,)
+        assert g.successors(-3) == ()
+        assert g.successors(3) == ()
+        assert g.successors(0) == ()
+
+    @settings(max_examples=150, deadline=None)
+    @given(narrow_cnf())
+    def test_edges_are_the_clause_implications(self, case):
+        f, _ = case
+        edges = set()
+        for cl in f.clauses:
+            for e in clause_to_implications(cl):
+                edges.add(e)
+                edges.add(Implication(-e.consequent, -e.antecedent))
+        g = build_implication_graph(f)
+        assert g.edges == edges
+        assert ImplicationGraph(f.variable_count, edges) == g
 
 
 class TestPropagateClosure:
@@ -323,6 +353,16 @@ class TestSolve2Sat:
         assert res.satisfiable == is_satisfiable(lists, f.variable_count)
         if res.satisfiable:
             assert satisfies(f, res.model)
+
+    @settings(max_examples=300, deadline=None)
+    @given(narrow_cnf())
+    def test_matches_reference_components(self, case):
+        f, clause_lists = case
+        res = solve_2sat(f)
+        ref = reference_2sat(clause_lists, f.variable_count)
+        assert res.satisfiable == ref["satisfiable"]
+        assert res.model == ref["model"]
+        assert res.witness_variable == ref["witness"]
 
     def test_json_model_as_sorted_literals(self):
         res = solve_2sat(formula([[1], [-1, 2]], 2))

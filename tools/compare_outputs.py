@@ -9,11 +9,16 @@ from this checkout's ``perfbench/workloads.py``.  Each ``analyze -`` and
 ``export-dot trace -`` command is then added once more with ``--heuristic
 most-occurrences``, so that both DPLL search orders are compared, not only
 the default ``lowest-index``; at seeds 7 and 3 that makes 806 commands,
-against 428 without these twins.  Last come ``export-dot trace -`` on a
+against 428 without these twins.  Next come ``export-dot trace -`` on a
 fixed corpus of CORPUS_SIZE small random formulas (n <= 14, clause widths
 1-4, the same for every seed; see ``_corpus``), also under both
 heuristics, so that changes to the search are checked trace by trace on
-SAT and UNSAT formulas alike: 1806 commands in all at seeds 7 and 3.
+SAT and UNSAT formulas alike.  Then come ``analyze -`` and ``export-dot
+implication-graph -`` on a fixed corpus of NARROW_CORPUS_SIZE small random
+formulas of clause widths 1-2 (n <= 30; see ``_narrow_corpus``), about
+half of them UNSAT, so that the 2-SAT solver's witness and the implication
+graph are checked too (with the default heuristic only): 2406 commands in
+all at seeds 7 and 3.
 Each checkout then runs all of them in-process through its own
 ``cdfsat.cli.main``, in one subprocess per checkout, with stdin, stdout
 and stderr held in memory; a piped command reads the stdout of its
@@ -43,6 +48,7 @@ WORKLOADS = ("count-narrow", "search")
 MAX_DIFF_LINES = 10
 OTHER_HEURISTIC = ("--heuristic", "most-occurrences")
 CORPUS_SIZE = 500
+NARROW_CORPUS_SIZE = 300
 
 
 def _import_cli(src: Path):
@@ -145,6 +151,35 @@ def _corpus(workloads) -> list:
     return commands
 
 
+def _narrow_corpus(workloads) -> list:
+    """``analyze -`` and ``export-dot implication-graph -`` on each formula
+    of the narrow corpus.
+
+    A formula has 1-30 variables and n to 5n/2 clauses, each a unit clause
+    with probability 1/20 and otherwise two distinct variables, with random
+    polarities.  That is past the 2-SAT threshold of one clause per
+    variable, so about half are UNSAT, where the workload's 2-SAT formulas
+    almost never are.
+    """
+    rng = random.Random("compare-outputs-narrow-corpus")
+    commands = []
+    for i in range(NARROW_CORPUS_SIZE):
+        n = rng.randint(1, 30)
+        clauses = tuple(
+            tuple(v if rng.getrandbits(1) else -v
+                  for v in rng.sample(range(1, n + 1), 1 if rng.random() < 0.05 else min(n, 2)))
+            for _ in range(rng.randint(n, 5 * n // 2)))
+        text = f"p cnf {n} {len(clauses)}\n" + "".join(
+            " ".join(map(str, cl)) + " 0\n" for cl in clauses)
+        cnf = workloads.Cnf(clauses, n)
+        label = f"narrow corpus #{i} n={n} m={len(clauses)}"
+        commands.append(workloads.Command(f"analyze {label}", ("analyze", "-"), cnf, stdin=text))
+        commands.append(workloads.Command(
+            f"export-dot implication-graph {label}",
+            ("export-dot", "implication-graph", "-"), cnf, stdin=text))
+    return commands
+
+
 def _changed_lines(theirs: str, mine: str) -> list[str]:
     """The first MAX_DIFF_LINES removed (-) and added (+) lines, indented."""
     diff = difflib.unified_diff(theirs.splitlines(), mine.splitlines(), n=0, lineterm="")
@@ -173,6 +208,7 @@ def main(argv: list[str] | None = None) -> int:
     runs = [(f"{w} seed {s}", _with_twins(workloads.build(w, s)))
             for w in WORKLOADS for s in seeds]
     runs.append(("corpus", _with_twins(_corpus(workloads))))
+    runs.append(("narrow corpus", _narrow_corpus(workloads)))
     payload = json.dumps([[[list(c.argv), c.stdin, c.pipe_from] for c in commands]
                           for _, commands in runs])
     here, other = _results(ROOT, payload), _results(args.other, payload)
