@@ -30,10 +30,13 @@ from . import __version__
 from .analysis import DEFAULT_THETA, classify, measure_growth
 from .encoders import (
     Encoding,
+    Graph,
     encode_hamiltonian_cycle,
     encode_perfect_matching,
     eulerian_path_exists,
+    hamiltonian_cycle_clause_count,
     parse_graph,
+    perfect_matching_clause_count,
 )
 from .formula import CnfFormula, parse_dimacs, width_profile, write_dimacs
 from .formula import generate_random_ksat
@@ -67,13 +70,15 @@ from .semantics import (
 ENV_CAP = "CDFSAT_CAP"
 ENV_THETA = "CDFSAT_THETA"
 
-# the most clauses `growth` draws for one family member, floor(density * n)
-# at the largest n; past it the command is a usage error
-MAX_GROWTH_CLAUSES = 100_000
+# the most clauses of any clause list the CLI builds: the floor(density * n)
+# that `growth` draws at the largest n (past it, a usage error) and the
+# clauses of an `encode` encoding (past it, an input error)
+MAX_CLAUSES = 100_000
 
 # the most variables of any formula the CLI reads or draws (a DIMACS header,
 # a `growth --n` size): 2^14000 has 4215 digits, so every exact count stays
-# under Python's 4300-digit int-to-string limit
+# under Python's 4300-digit int-to-string limit; also the most vertices of
+# any graph it reads
 MAX_VARIABLES = 14_000
 
 # the decimal exponent of a --density, e.g. the 400 of 1e400; Fraction turns
@@ -155,6 +160,17 @@ def _read_formula(path: str) -> CnfFormula:
             f"{f.variable_count} variables exceed the limit of {MAX_VARIABLES}"
         )
     return f
+
+
+def _read_graph(path: str) -> Graph:
+    """Parse an edge list, refusing more than MAX_VARIABLES vertices.
+
+    The check runs before any command loops over the vertices.
+    """
+    g = parse_graph(_read_text(path))
+    if g.vertex_count > MAX_VARIABLES:
+        raise ValueError(f"{g.vertex_count} vertices exceed the limit of {MAX_VARIABLES}")
+    return g
 
 
 def _emit_json(payload: dict) -> None:
@@ -280,9 +296,9 @@ def _cmd_growth(args: argparse.Namespace) -> int:
     density: Fraction = args.density
     if density <= 0:
         args.parser.error("--density must be positive")
-    if math.floor(density * ns[-1]) > MAX_GROWTH_CLAUSES:
+    if math.floor(density * ns[-1]) > MAX_CLAUSES:
         args.parser.error(
-            f"--density gives more than {MAX_GROWTH_CLAUSES} clauses at n={ns[-1]}"
+            f"--density gives more than {MAX_CLAUSES} clauses at n={ns[-1]}"
         )
 
     def family(n: int) -> CnfFormula:
@@ -332,11 +348,15 @@ def _cmd_growth(args: argparse.Namespace) -> int:
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
-    g = parse_graph(_read_text(args.graph))
+    g = _read_graph(args.graph)
     if args.problem == "matching":
-        enc: Encoding = encode_perfect_matching(g)
+        clause_count, encode = perfect_matching_clause_count(g), encode_perfect_matching
     else:
-        enc = encode_hamiltonian_cycle(g)
+        clause_count, encode = hamiltonian_cycle_clause_count(g), encode_hamiltonian_cycle
+    # counted before any clause is built
+    if clause_count > MAX_CLAUSES:
+        raise ValueError(f"{clause_count} clauses exceed the limit of {MAX_CLAUSES}")
+    enc: Encoding = encode(g)
     sys.stdout.write(write_dimacs(enc.formula, comments=enc.comment_lines()))
     print(
         f"{args.problem}: {enc.formula.variable_count} variables, "
@@ -349,7 +369,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
 
 def _cmd_euler(args: argparse.Namespace) -> int:
-    g = parse_graph(_read_text(args.graph))
+    g = _read_graph(args.graph)
     result = eulerian_path_exists(g)
     _emit_json(
         {
@@ -374,7 +394,11 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     derivation_steps = None
     check = None
     if args.derivation is not None:
-        data = json.loads(_read_text(args.derivation))
+        try:
+            data = json.loads(_read_text(args.derivation))
+        except RecursionError:
+            # the decoder recurses once per nesting level
+            raise ValueError("derivation file is nested too deeply") from None
         if not isinstance(data, list):
             raise ValueError("derivation file must hold a JSON list of steps")
         derivation_steps = parse_derivation_json(data)

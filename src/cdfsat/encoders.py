@@ -159,6 +159,13 @@ def encode_perfect_matching(g: Graph) -> Encoding:
     return Encoding(CnfFormula(tuple(clauses), next_var), labels, tuple(warnings))
 
 
+def perfect_matching_clause_count(g: Graph) -> int:
+    """Clauses ``encode_perfect_matching(g)`` emits, without building them:
+    per vertex of degree d, 1 + d(d-1)/2, or 2 for an isolated vertex."""
+    degrees = [g.degree(v) for v in range(g.vertex_count)]
+    return sum(1 + d * (d - 1) // 2 if d else 2 for d in degrees)
+
+
 def encode_hamiltonian_cycle(g: Graph) -> Encoding:
     """Position encoding: variable x[v][p] says vertex v sits at cycle slot p.
 
@@ -192,6 +199,14 @@ def encode_hamiltonian_cycle(g: Graph) -> Encoding:
             for p in range(n):
                 clauses.append(Clause((-var(u, p), -var(w, (p + 1) % n))))
     return Encoding(CnfFormula(tuple(clauses), n * n), labels)
+
+
+def hamiltonian_cycle_clause_count(g: Graph) -> int:
+    """Clauses ``encode_hamiltonian_cycle(g)`` emits, without building them:
+    1 + n(n-1)/2 per slot and per vertex, and n per ordered non-adjacent
+    pair of distinct vertices."""
+    n = g.vertex_count
+    return 2 * n * (1 + n * (n - 1) // 2) + n * (n * (n - 1) - 2 * len(g.edges))
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,13 @@ WideClauseError.
 ``ImplicationGraph`` stores its edges as one list indexed by literal, where
 a negative literal indexes from the end, as in the DPLL value table below:
 entry u is the tuple of u's successors in canonical order (by variable,
-positive first).  ``build_implication_graph`` fills it straight from the
-clause literals.  ``solve_2sat`` decides a width-<=2 formula in linear
-time by strongly connected components (Aspvall, Plass & Tarjan 1979),
-running Tarjan's algorithm over lists indexed the same way.
+positive first).  ``build_implication_graph`` is the only way to get one:
+it fills the list straight from a formula's clause literals, so the graph
+is the image of the formula's narrow clauses, and it is closed under
+contraposition because each clause's implication form is.  ``solve_2sat``
+decides a width-<=2 formula in linear time by strongly connected
+components (Aspvall, Plass & Tarjan 1979), running Tarjan's algorithm over
+lists indexed the same way.
 
 ``dpll_solve`` is a complete backtracking search, unit propagation first.
 Its trace distinguishes how each assignment was obtained: a forcing through
@@ -115,49 +118,20 @@ def clause_to_implications(cl: Clause) -> tuple[Implication, ...]:
     raise WideClauseError(cl)
 
 
-def _successor_tuples(heads: list[list[int]]) -> list[tuple[int, ...]]:
-    # each literal's successors, duplicates dropped, in canonical order
-    return [tuple(sorted(set(s), key=_lit_key)) if len(s) > 1 else tuple(s) for s in heads]
-
-
 class ImplicationGraph:
-    """Directed graph over all 2n literals of variables 1..n.
+    """Directed graph over all 2n literals of variables 1..n: the union of
+    the implication forms of a formula's clauses.
 
-    The edge set is closed under contraposition at construction: inserting
-    u => v also inserts ~v => ~u, so the invariant holds no matter how the
-    graph was assembled.  Isolated literals are still nodes.  Edges are
-    stored once, as one list indexed by literal, where a negative literal
-    indexes from the end (as in the DPLL value table): entry u is the tuple
-    of u's successors in canonical order, and entry 0 is empty.
+    Only ``build_implication_graph`` makes one, from a formula, so the edge
+    set is closed under contraposition because each clause's implication
+    form is.  Isolated literals are still nodes.  Edges are stored once, as
+    one list indexed by literal, where a negative literal indexes from the
+    end (as in the DPLL value table): entry u is the tuple of u's
+    successors in canonical order, and entry 0 is empty.
     """
 
-    def __init__(self, variable_count: int, edges: Iterable[Implication] = ()):
-        if variable_count < 0:
-            raise ValueError("variable_count must be >= 0")
-        heads: list[list[int]] = [[] for _ in range(2 * variable_count + 1)]
-        for e in edges:
-            u, v = e.antecedent, e.consequent
-            for lit in (u, v):
-                if lit == 0 or abs(lit) > variable_count:
-                    raise ValueError(f"literal {lit} outside variable range")
-            heads[u].append(v)
-            heads[-v].append(-u)
-        self.variable_count = variable_count
-        self._succ = _successor_tuples(heads)
-
-    @classmethod
-    def _from_heads(cls, variable_count: int, heads: list[list[int]]) -> ImplicationGraph:
-        """The graph whose edges are u => v for each v in heads[u]; the
-        caller guarantees the range and the contraposition closure."""
-        g = cls.__new__(cls)
-        g.variable_count = variable_count
-        g._succ = _successor_tuples(heads)
-        return g
-
-    @property
-    def edges(self) -> frozenset[Implication]:
-        succ = self._succ
-        return frozenset(Implication(u, v) for u in self.literals() for v in succ[u])
+    variable_count: int
+    _succ: list[tuple[int, ...]]
 
     def successors(self, lit: int) -> tuple[int, ...]:
         # a literal past n would wrap around the list, so it is range-checked
@@ -171,25 +145,15 @@ class ImplicationGraph:
             out.extend((v, -v))
         return out
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ImplicationGraph)
-            and self.variable_count == other.variable_count
-            and self._succ == other._succ
-        )
-
-    def __repr__(self) -> str:
-        edge_count = sum(map(len, self._succ))
-        return f"ImplicationGraph(n={self.variable_count}, edges={edge_count})"
-
 
 def build_implication_graph(f: CnfFormula) -> ImplicationGraph:
     """Union of the implication forms of every clause (all widths <= 2).
 
-    The successor lists are filled straight from the clause literals: the
-    edges of a clause's implication form are already closed under
-    contraposition.  Raises WideClauseError on the first clause of width
-    >= 3.
+    The successor lists are filled straight from the clause literals, with
+    duplicates dropped and each list in canonical order.  A clause's
+    implication form is closed under contraposition ((a | b) gives both
+    ~a => b and ~b => a), so their union is too.  Raises WideClauseError on
+    the first clause of width >= 3.
     """
     heads: list[list[int]] = [[] for _ in range(2 * f.variable_count + 1)]
     for cl in f.clauses:
@@ -203,7 +167,10 @@ def build_implication_graph(f: CnfFormula) -> ImplicationGraph:
             heads[-a].append(a)
         else:
             raise WideClauseError(cl)
-    return ImplicationGraph._from_heads(f.variable_count, heads)
+    g = ImplicationGraph.__new__(ImplicationGraph)  # no constructor: made here only
+    g.variable_count = f.variable_count
+    g._succ = [tuple(sorted(set(s), key=_lit_key)) if len(s) > 1 else tuple(s) for s in heads]
+    return g
 
 
 @dataclass(frozen=True)

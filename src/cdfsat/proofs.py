@@ -326,8 +326,6 @@ REITERATION = "reiteration"
 IMPLIES_INTRO = "implies-intro"
 IMPLIES_ELIM = "implies-elim"
 
-RULES = (ASSUMPTION, REITERATION, IMPLIES_INTRO, IMPLIES_ELIM)
-
 
 @dataclass(frozen=True)
 class DerivationStep:

@@ -37,7 +37,9 @@ from dataclasses import dataclass
 from .formula import Clause, CnfFormula
 
 ENUMERATION_CAP = 26
-# materialized assignment masks fit in a signed 64-bit integer up to n = 63
+# the largest cap that --cap, CDFSAT_CAP and enumeration_cap accept: the
+# sweep takes 2^n steps, so a larger cap could only admit a count that never
+# finishes (the assignment masks are Python ints and set no bound of their own)
 MAX_ENUMERATION_CAP = 63
 MATERIALIZATION_CAP = 20
 # the sweep checks the lowest SWEEP_BITS assignment bits in one int per
@@ -53,10 +55,7 @@ def check_enumeration_cap(cap: int) -> int:
     if cap < 0:
         raise ValueError("enumeration cap must be >= 0")
     if cap > MAX_ENUMERATION_CAP:
-        raise ValueError(
-            f"enumeration cap must be <= {MAX_ENUMERATION_CAP} "
-            f"(64-bit assignment masks), got {cap}"
-        )
+        raise ValueError(f"enumeration cap must be <= {MAX_ENUMERATION_CAP}, got {cap}")
     return cap
 
 
@@ -106,15 +105,16 @@ def clauses_variable_disjoint(f: CnfFormula) -> bool:
     return True
 
 
-def clause_image(cl: Clause, materialization_cap: int = MATERIALIZATION_CAP) -> SemanticImage:
+def clause_image(cl: Clause) -> SemanticImage:
     """Image of a single clause over its own variables: 2^k - 1 assignments.
 
-    The one excluded assignment sets every literal false.
+    The one excluded assignment sets every literal false.  The assignments
+    are materialized up to MATERIALIZATION_CAP variables.
     """
     scope = tuple(sorted(cl.variables()))
     k = len(scope)
     count = (1 << k) - 1
-    if k > materialization_cap:
+    if k > MATERIALIZATION_CAP:
         return SemanticImage(scope, count, None)
     position = {v: k - 1 - j for j, v in enumerate(scope)}
     excluded = 0

@@ -362,7 +362,7 @@ class TestGrowth:
         assert err.endswith(f"has more than {limit} digits above or below the line\n")
 
     def test_clause_limit_counts_the_largest_member(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "MAX_GROWTH_CLAUSES", 6)
+        monkeypatch.setattr(cli, "MAX_CLAUSES", 6)
         args = ["growth", "--k", "2", "--n", "4,6,8", "--quiet", "--density"]
         assert run_main(args + ["3/4"]) == 0  # 6 clauses at n=8
         capsys.readouterr()
@@ -483,6 +483,16 @@ class TestProve:
         assert proc.returncode == 1, proc.stderr
         assert "nesting deeper than" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_deeply_nested_derivation_exits_1(self, tmp_path):
+        # the JSON decoder recurses per level: 1100 levels ended in a
+        # RecursionError traceback
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 5000 + "]" * 5000)
+        proc = run_cli("prove", "A", "--derivation", str(deep), "--quiet")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "cdfsat: error: derivation file is nested too deeply\n"
 
     @pytest.mark.parametrize(
         "step",
@@ -610,6 +620,56 @@ class TestVariableLimit:
         count = json.loads(out)["semantics"]["imageCount"]
         assert count == 3 * 2**13998
         assert len(str(count)) == 4215
+
+
+class TestGraphLimits:
+    # without the limits, under 1 GiB: matching on 3000000 vertices and
+    # hamiltonian on 118 or 200 vertices ended in a MemoryError traceback
+    # after 12-19 s, and euler on 20000000 vertices took 7 s
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            (["encode", "matching"], "v 3000000\n0 1\n", "3000000 vertices exceed the limit of 14000"),
+            (["encode", "hamiltonian"], "v 118\n0 1\n", "3258216 clauses exceed the limit of 100000"),
+            (["encode", "hamiltonian"], "v 200\n", "15920400 clauses exceed the limit of 100000"),
+            (["euler"], "v 20000000\n0 1\n", "20000000 vertices exceed the limit of 14000"),
+        ],
+        ids=["matching", "hamiltonian-118", "hamiltonian-200", "euler"],
+    )
+    def test_graph_past_limit_exits_1(self, command, text, message):
+        proc = run_cli(
+            *command, "-", stdin_text=text, timeout=20, preexec_fn=_cap_address_space,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == f"cdfsat: error: {message}\n"
+
+    def test_encoding_near_clause_limit_admitted(self):
+        # the complete graph on 46 vertices: 95312 clauses; on 47, 101708
+        n = 46
+        text = f"v {n}\n" + "".join(f"{a} {b}\n" for a in range(n) for b in range(a + 1, n))
+        proc = run_cli(
+            "encode", "hamiltonian", "-", stdin_text=text,
+            timeout=20, preexec_fn=_cap_address_space,
+        )
+        assert proc.returncode == 0
+        assert parse_dimacs(proc.stdout).clause_count == 95312
+
+    @pytest.mark.parametrize("problem, clause_count", [("matching", 16), ("hamiltonian", 56)])
+    def test_clause_limit_counts_the_encoding(self, tmp_path, monkeypatch, capsys,
+                                               problem, clause_count):
+        path = tmp_path / "k4.graph"
+        path.write_text("v 4\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+        monkeypatch.setattr(cli, "MAX_CLAUSES", clause_count)
+        assert run_main(["encode", problem, str(path)]) == 0
+        out, _ = capsys.readouterr()
+        assert parse_dimacs(out).clause_count == clause_count
+        monkeypatch.setattr(cli, "MAX_CLAUSES", clause_count - 1)
+        assert run_main(["encode", problem, str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"cdfsat: error: {clause_count} clauses exceed the limit of {clause_count - 1}\n"
 
 
 class TestDeterminism:

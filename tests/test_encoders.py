@@ -11,7 +11,9 @@ from cdfsat.encoders import (
     encode_perfect_matching,
     eulerian_path_exists,
     graph,
+    hamiltonian_cycle_clause_count,
     parse_graph,
+    perfect_matching_clause_count,
 )
 from cdfsat.logic import dpll_solve
 from cdfsat.semantics import formula_image
@@ -149,6 +151,13 @@ class TestPerfectMatching:
             want = len(perfect_matchings(6, edges))
             assert self.count_encoded(g) == want, edges
 
+    def test_clause_count_matches_encoding(self):
+        for n in range(6):
+            for edges in all_graphs(n):
+                g = graph(n, edges)
+                got = perfect_matching_clause_count(g)
+                assert got == encode_perfect_matching(g).formula.clause_count, edges
+
 
 class TestHamiltonianCycle:
     def is_sat(self, g):
@@ -203,6 +212,13 @@ class TestHamiltonianCycle:
             edges = tuple(p for p in pairs if rng.random() < 0.55)
             got = self.is_sat(graph(5, edges))
             assert got == has_hamiltonian_cycle(5, edges), edges
+
+    def test_clause_count_matches_encoding(self):
+        for n in range(3, 6):
+            for edges in all_graphs(n):
+                g = graph(n, edges)
+                got = hamiltonian_cycle_clause_count(g)
+                assert got == encode_hamiltonian_cycle(g).formula.clause_count, edges
 
 
 class TestEulerianPath:

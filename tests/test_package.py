@@ -8,7 +8,8 @@ import sys
 import types
 from pathlib import Path
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_formula_submodule_is_not_shadowed():
@@ -101,3 +102,27 @@ assert "numpy" not in sys.modules, "numpy was imported"
 def test_package_runs_without_numpy():
     proc = subprocess.run([sys.executable, "-c", _NO_NUMPY], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_tracer_installs_and_counts(monkeypatch, capsys):
+    # perfbench/tracing.py imports package members and wraps others by the
+    # module attributes their callers look them up through, so a deleted or
+    # renamed member would break the benchmark before it measures anything
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from cdfsat import cli
+
+    try:
+        import tracing
+
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            chain = ROOT / "tests" / "data" / "implication_chain.cnf"
+            assert cli.main(["export-dot", "implication-graph", str(chain)]) == 0
+        finally:
+            tracer.restore()
+    finally:
+        sys.modules.pop("tracing", None)
+    assert capsys.readouterr().out.startswith("digraph implication_graph {")
+    assert tracer.calls["logic.build_implication_graph"] == 1

@@ -274,7 +274,7 @@ class TestFormulaImage:
 
     @pytest.mark.parametrize("cap", [-1, MAX_ENUMERATION_CAP + 1, 70])
     def test_cap_outside_mask_width_rejected(self, cap):
-        # past 63 a materialized mask would not fit a signed 64-bit integer
+        # 63 bounds the cap itself; a 2^63-step sweep would never finish
         f = formula([[1, 70], [1, -70], [2, 3]], 70)
         with pytest.raises(ValueError, match="enumeration cap"):
             formula_image(f, enumeration_cap=cap, materialization_cap=0)
