@@ -94,7 +94,7 @@ class CompositionalityWitness:
 
     def to_json_dict(self) -> dict:
         return {
-            "clause": list(self.clause.literals),
+            "clause": list(self.clause),
             "assignment": sorted(self.assignment, key=_lit_key),
             "gammaForced": sorted(self.gamma_forced, key=_lit_key),
             "betaAlphaForced": "undefined"
@@ -130,7 +130,7 @@ def wide_clause_witness(cl: Clause) -> CompositionalityWitness:
     """
     return CompositionalityWitness(
         clause=cl,
-        assignment=frozenset(-lit for lit in cl.literals[:-2]),
+        assignment=frozenset(-lit for lit in cl[:-2]),
         gamma_forced=frozenset(),
         beta_alpha_forced=None,
     )
@@ -148,26 +148,25 @@ def check_compositionality(f: CnfFormula) -> CompositionalityReport:
     the formula is Compositional.  This takes one unit propagation from the
     empty seed, and no implication graph.
     """
+    unit = None
     for cl in f.clauses:
-        if cl.width >= 3:
-            return CompositionalityReport(
-                NON_COMPOSITIONAL, 0, wide_clause_witness(cl)
-            )
+        if len(cl) >= 3:
+            return CompositionalityReport(NON_COMPOSITIONAL, 0, wide_clause_witness(cl))
+        if unit is None and len(cl) == 1:
+            unit = cl
     seeds = 2 * f.variable_count + 1
-    for cl in f.clauses:
-        if cl.width == 1:
-            gamma = unit_propagate(f, {})
-            return CompositionalityReport(
-                NON_COMPOSITIONAL,
-                seeds,
-                CompositionalityWitness(
-                    clause=cl,
-                    assignment=frozenset(),
-                    gamma_forced=gamma.forced,
-                    beta_alpha_forced=frozenset(),
-                ),
-            )
-    return CompositionalityReport(COMPOSITIONAL, seeds, None)
+    if unit is None:
+        return CompositionalityReport(COMPOSITIONAL, seeds, None)
+    return CompositionalityReport(
+        NON_COMPOSITIONAL,
+        seeds,
+        CompositionalityWitness(
+            clause=unit,
+            assignment=frozenset(),
+            gamma_forced=unit_propagate(f, {}).forced,
+            beta_alpha_forced=frozenset(),
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -361,12 +360,12 @@ class CdfClassification:
 
 def wide_clause_fraction(f: CnfFormula) -> float:
     """Share of variables occurring in at least one width->=3 clause."""
-    if f.variable_count == 0:
+    if f.max_width < 3:
         return 0.0
     wide_vars: set[int] = set()
     for cl in f.clauses:
-        if cl.width >= 3:
-            wide_vars |= cl.variables()
+        if len(cl) >= 3:
+            wide_vars.update(map(abs, cl))
     return len(wide_vars) / f.variable_count
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable
 
-from .formula import Clause, CnfFormula
+from .formula import CnfFormula
 
 
 class GraphParseError(ValueError):
@@ -142,7 +142,7 @@ def encode_perfect_matching(g: Graph) -> Encoding:
     edge_list = g.sorted_edges()
     edge_var = {e: i + 1 for i, e in enumerate(edge_list)}
     labels = {var: f"edge ({a},{b})" for (a, b), var in edge_var.items()}
-    clauses: list[Clause] = []
+    clauses: list[tuple[int, ...]] = []
     warnings: list[str] = []
     next_var = len(edge_list)
     for v in range(g.vertex_count):
@@ -150,12 +150,12 @@ def encode_perfect_matching(g: Graph) -> Encoding:
         if not incident:
             next_var += 1
             labels[next_var] = f"isolated vertex {v} marker (forced contradiction)"
-            clauses.append(Clause((next_var,)))
-            clauses.append(Clause((-next_var,)))
+            clauses.append((next_var,))
+            clauses.append((-next_var,))
             warnings.append(f"vertex {v} is isolated; no perfect matching exists")
             continue
-        clauses.append(Clause(tuple(incident)))
-        clauses.extend(Clause((-a, -b)) for a, b in combinations(incident, 2))
+        clauses.append(tuple(incident))
+        clauses.extend((-a, -b) for a, b in combinations(incident, 2))
     return Encoding(CnfFormula(tuple(clauses), next_var), labels, tuple(warnings))
 
 
@@ -185,19 +185,19 @@ def encode_hamiltonian_cycle(g: Graph) -> Encoding:
     labels = {
         var(v, p): f"vertex {v} at position {p}" for v in range(n) for p in range(n)
     }
-    clauses: list[Clause] = []
+    clauses: list[tuple[int, ...]] = []
     for p in range(n):
-        clauses.append(Clause(tuple(var(v, p) for v in range(n))))
-        clauses.extend(Clause((-var(u, p), -var(w, p))) for u, w in combinations(range(n), 2))
+        clauses.append(tuple(var(v, p) for v in range(n)))
+        clauses.extend((-var(u, p), -var(w, p)) for u, w in combinations(range(n), 2))
     for v in range(n):
-        clauses.append(Clause(tuple(var(v, p) for p in range(n))))
-        clauses.extend(Clause((-var(v, p), -var(v, q))) for p, q in combinations(range(n), 2))
+        clauses.append(tuple(var(v, p) for p in range(n)))
+        clauses.extend((-var(v, p), -var(v, q)) for p, q in combinations(range(n), 2))
     for u in range(n):
         for w in range(n):
             if u == w or g.adjacent(u, w):
                 continue
             for p in range(n):
-                clauses.append(Clause((-var(u, p), -var(w, (p + 1) % n))))
+                clauses.append((-var(u, p), -var(w, (p + 1) % n)))
     return Encoding(CnfFormula(tuple(clauses), n * n), labels)
 
 

@@ -3,18 +3,22 @@
 Literals follow the DIMACS convention throughout the package: a literal is a
 nonzero int, ``v`` for the positive polarity of variable ``v`` (1-based) and
 ``-v`` for the negative one.  Negation is ``-lit``, the variable is
-``abs(lit)``, the polarity is ``lit > 0``.  Assignments are plain dicts
-mapping variable index to bool; a partial assignment is just a dict whose key
-set is smaller than the variable range.
+``abs(lit)``, the polarity is ``lit > 0``.  A clause is the tuple of its
+literals, and ``CnfFormula`` checks every clause it is given.  Assignments
+are plain dicts mapping variable index to bool; a partial assignment is just
+a dict whose key set is smaller than the variable range.
 """
 
 from __future__ import annotations
 
 import random
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from functools import cached_property
+from itertools import chain
+from typing import Iterable
 
 Assignment = dict[int, bool]
 
@@ -37,54 +41,58 @@ class DimacsWarning(UserWarning):
     """Recoverable DIMACS oddity (e.g. header clause count mismatch)."""
 
 
-@dataclass(frozen=True)
-class Clause:
-    """An ordered disjunction of literals.
+class Clause(tuple):
+    """An ordered disjunction of literals, stored as the tuple of them, so
+    ``len(cl)`` is its width.
 
-    Duplicate literals are dropped at construction (keeping first occurrence
-    order); a clause containing a complementary pair is rejected, since a
+    Each literal must be a nonzero int (a bool is rejected).  Duplicate
+    literals are dropped at construction (keeping first occurrence order);
+    a clause containing a complementary pair is rejected, since a
     tautological clause constrains nothing and would silently corrupt width
     and image bookkeeping downstream.  Empty clauses are rejected as well:
     an unsatisfiable constraint must be expressed by clauses over at least
     one literal.
     """
 
-    literals: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, literals: Iterable[int]) -> Clause:
         seen: dict[int, None] = {}  # insertion-ordered, so first occurrences
-        for lit in self.literals:
-            if not isinstance(lit, int) or lit == 0:
+        for lit in literals:
+            if not isinstance(lit, int) or isinstance(lit, bool) or lit == 0:
                 raise ValueError(f"literal must be a nonzero int, got {lit!r}")
             if -lit in seen:
                 raise TautologicalClauseError(
-                    f"clause {list(self.literals)} contains {lit} and {-lit}"
+                    f"clause {list(literals)} contains {lit} and {-lit}"
                 )
-            seen.setdefault(lit)
+            seen[lit] = None
         if not seen:
             raise ValueError("empty clause is not representable")
-        object.__setattr__(self, "literals", tuple(seen))
+        return super().__new__(cls, seen)
 
-    @property
-    def width(self) -> int:
-        return len(self.literals)
+    # the literal tuple is the clause itself; both names stay for callers
+    # that read a clause's fields, such as the acceptance criteria
+    literals = property(lambda self: self)
+    width = property(len)
 
     def variables(self) -> frozenset[int]:
-        return frozenset(abs(lit) for lit in self.literals)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.literals)
+        return frozenset(map(abs, self))
 
 
 def clause(*literals: int) -> Clause:
     """Shorthand constructor: ``clause(-1, 2)`` is the clause (~x1 | x2)."""
-    return Clause(tuple(literals))
+    return Clause(literals)
 
 
 @dataclass(frozen=True)
 class CnfFormula:
     """A conjunction of clauses over variables ``1..variable_count``.
 
+    Every clause given is checked here: one that is not yet a ``Clause``
+    is made one, raising ``Clause``'s error, and every literal must lie in
+    the variable range.  ``formula``, ``generate_random_ksat`` and the
+    encoders hand over plain literal tuples; ``parse_dimacs`` builds each
+    ``Clause`` itself, so that its errors can name the clause and the line.
     The clause list is a multiset: duplicated clauses are preserved in input
     order.  ``variable_count`` may exceed the largest index actually used;
     the unused variables are unconstrained and still count toward the
@@ -95,24 +103,23 @@ class CnfFormula:
     variable_count: int
 
     def __post_init__(self) -> None:
-        if self.variable_count < 0:
+        n = self.variable_count
+        if n < 0:
             raise ValueError("variable_count must be >= 0")
-        object.__setattr__(self, "clauses", tuple(self.clauses))
-        for i, cl in enumerate(self.clauses):
-            for lit in cl:
-                if abs(lit) > self.variable_count:
-                    raise ValueError(
-                        f"clause {i + 1} uses variable {abs(lit)} "
-                        f"but variable_count is {self.variable_count}"
-                    )
+        clauses = tuple(cl if isinstance(cl, Clause) else Clause(cl) for cl in self.clauses)
+        object.__setattr__(self, "clauses", clauses)
+        if max(map(abs, chain.from_iterable(clauses)), default=0) > n:
+            i, var = next((i, abs(lit)) for i, cl in enumerate(clauses, 1)
+                          for lit in cl if abs(lit) > n)
+            raise ValueError(f"clause {i} uses variable {var} but variable_count is {n}")
 
     @property
     def clause_count(self) -> int:
         return len(self.clauses)
 
-    @property
+    @cached_property
     def max_width(self) -> int:
-        return max((cl.width for cl in self.clauses), default=0)
+        return max(map(len, self.clauses), default=0)
 
     @property
     def density(self) -> Fraction | None:
@@ -124,15 +131,12 @@ class CnfFormula:
 
 def formula(clause_lists: Iterable[Iterable[int]], variable_count: int) -> CnfFormula:
     """Build a formula from bare literal lists."""
-    return CnfFormula(tuple(Clause(tuple(c)) for c in clause_lists), variable_count)
+    return CnfFormula(tuple(clause_lists), variable_count)
 
 
 def width_profile(f: CnfFormula) -> dict[int, int]:
     """Histogram mapping clause width to the number of clauses of that width."""
-    profile: dict[int, int] = {}
-    for cl in f.clauses:
-        profile[cl.width] = profile.get(cl.width, 0) + 1
-    return dict(sorted(profile.items()))
+    return dict(sorted(Counter(map(len, f.clauses)).items()))
 
 
 def satisfies(f: CnfFormula, assignment: Assignment) -> bool:
@@ -144,7 +148,7 @@ def satisfies(f: CnfFormula, assignment: Assignment) -> bool:
     literals are all free or false counts as unsatisfied.
     """
     true = {v if val else -v for v, val in assignment.items() if val is not None}
-    return not any(map(true.isdisjoint, (cl.literals for cl in f.clauses)))
+    return not any(map(true.isdisjoint, f.clauses))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +202,7 @@ def parse_dimacs(text: str) -> CnfFormula:
                 raise DimacsParseError(f"bad literal token {token!r}", lineno) from None
             if lit == 0:
                 try:
-                    clauses.append(Clause(tuple(pending)))
+                    clauses.append(Clause(pending))
                 except TautologicalClauseError as exc:
                     raise DimacsParseError(
                         f"clause {len(clauses) + 1} is tautological: {exc}", pending_line
@@ -273,19 +277,15 @@ def generate_random_ksat(
             f"disjoint mode needs m*k <= n, got m={m} k={k} n={n}"
         )
     rng = random.Random(seed)
-    clauses: list[Clause] = []
+    clauses: list[tuple[int, ...]] = []
     if disjoint:
         deck = list(range(1, n + 1))
         rng.shuffle(deck)
         for i in range(m):
             block = sorted(deck[i * k : (i + 1) * k])
-            clauses.append(
-                Clause(tuple(v if rng.getrandbits(1) else -v for v in block))
-            )
+            clauses.append(tuple(v if rng.getrandbits(1) else -v for v in block))
     else:
         for _ in range(m):
             block = sorted(rng.sample(range(1, n + 1), k))
-            clauses.append(
-                Clause(tuple(v if rng.getrandbits(1) else -v for v in block))
-            )
+            clauses.append(tuple(v if rng.getrandbits(1) else -v for v in block))
     return CnfFormula(tuple(clauses), n)

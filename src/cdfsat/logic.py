@@ -83,7 +83,7 @@ class WideClauseError(ValueError):
     def __init__(self, cl: Clause):
         self.clause = cl
         super().__init__(
-            f"clause {list(cl.literals)} has width {cl.width}; "
+            f"clause {list(cl)} has width {len(cl)}; "
             "only width-<=2 clauses have an implication form"
         )
 
@@ -109,11 +109,11 @@ def clause_to_implications(cl: Clause) -> tuple[Implication, ...]:
     (a | b) gives ~a => b and ~b => a; a unit clause (a) gives the forcing
     edge ~a => a.  Width >= 3 raises WideClauseError.
     """
-    if cl.width == 1:
-        (a,) = cl.literals
+    if len(cl) == 1:
+        (a,) = cl
         return (Implication(-a, a),)
-    if cl.width == 2:
-        a, b = cl.literals
+    if len(cl) == 2:
+        a, b = cl
         return (Implication(-a, b), Implication(-b, a))
     raise WideClauseError(cl)
 
@@ -157,13 +157,12 @@ def build_implication_graph(f: CnfFormula) -> ImplicationGraph:
     """
     heads: list[list[int]] = [[] for _ in range(2 * f.variable_count + 1)]
     for cl in f.clauses:
-        lits = cl.literals
-        if len(lits) == 2:
-            a, b = lits
+        if len(cl) == 2:
+            a, b = cl
             heads[-a].append(b)
             heads[-b].append(a)
-        elif len(lits) == 1:
-            a = lits[0]
+        elif len(cl) == 1:
+            a = cl[0]
             heads[-a].append(a)
         else:
             raise WideClauseError(cl)
@@ -239,10 +238,9 @@ def occurrence_index(f: CnfFormula) -> tuple[dict[int, list[int]], tuple[int, ..
     occ: dict[int, list[int]] = {}
     units: list[int] = []
     for idx, cl in enumerate(f.clauses):
-        lits = cl.literals
-        if len(lits) == 1:
+        if len(cl) == 1:
             units.append(idx)
-        for lit in lits:
+        for lit in cl:
             occ.setdefault(lit, []).append(idx)
     return occ, tuple(units)
 
@@ -286,7 +284,7 @@ def unit_propagate(f: CnfFormula, assignment: Assignment) -> PropagationClosure:
         later = set()
         while queue:
             i = heappop(queue)
-            cl = clauses[i].literals
+            cl = clauses[i]
             if not forced.isdisjoint(cl):
                 continue  # satisfied
             unassigned = [lit for lit in cl if -lit not in forced]
@@ -487,7 +485,7 @@ class DerivationTrace:
 class _DpllSearch:
     def __init__(self, f: CnfFormula, heuristic: str):
         self.f = f
-        self.clauses = [cl.literals for cl in f.clauses]
+        self.clauses = f.clauses
         self.heuristic = heuristic
         self.occ, self.units = occurrence_index(f)
         # decision order: the heuristic's choice is the first candidate in it

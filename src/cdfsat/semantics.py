@@ -214,9 +214,9 @@ def formula_image(
         count, assignments = _sweep(f, materialize=True)
         return SemanticImage(scope, count, assignments)
     if clauses_variable_disjoint(f):
-        count = 1 << (n - sum(cl.width for cl in f.clauses))
+        count = 1 << (n - sum(map(len, f.clauses)))
         for cl in f.clauses:
-            count *= (1 << cl.width) - 1
+            count *= (1 << len(cl)) - 1
         return SemanticImage(scope, count, None)
     if n <= enumeration_cap:
         count, _ = _sweep(f, materialize=False)

@@ -14,6 +14,33 @@ import numpy as np
 
 
 # ---------------------------------------------------------------------------
+# Clause construction
+# ---------------------------------------------------------------------------
+
+def reference_clause(literals) -> tuple:
+    """What building a clause from the literal list ``literals`` gives.
+
+    Literals are read left to right, and the first fault met decides:
+    something that is not an int, or is a bool, or is 0, gives
+    ("ValueError", "literal must be a nonzero int, got <repr>"); a literal
+    whose negation occurs earlier in the list gives
+    ("TautologicalClauseError", "clause <the whole list> contains <lit> and
+    <-lit>").  With no fault, an empty list gives ("ValueError", "empty
+    clause is not representable"), and any other list gives ("ok", the
+    tuple of its literals with every repeat after the first left out).
+    """
+    lits = list(literals)
+    for i, lit in enumerate(lits):
+        if type(lit) is bool or not isinstance(lit, int) or lit == 0:
+            return ("ValueError", f"literal must be a nonzero int, got {lit!r}")
+        if -lit in lits[:i]:
+            return ("TautologicalClauseError", f"clause {lits} contains {lit} and {-lit}")
+    if not lits:
+        return ("ValueError", "empty clause is not representable")
+    return ("ok", tuple(lit for i, lit in enumerate(lits) if lit not in lits[:i]))
+
+
+# ---------------------------------------------------------------------------
 # CNF model enumeration
 # ---------------------------------------------------------------------------
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdfsat.encoders import encode_hamiltonian_cycle, encode_perfect_matching, graph
 from cdfsat.formula import (
     Clause,
     CnfFormula,
@@ -22,7 +23,7 @@ from cdfsat.formula import (
     write_dimacs,
 )
 
-from _oracles import partial_formula_satisfied
+from _oracles import partial_formula_satisfied, reference_clause
 
 
 class TestClause:
@@ -31,6 +32,9 @@ class TestClause:
         assert cl.width == 3
         assert list(cl) == [-1, 2, 3]
         assert cl.variables() == {1, 2, 3}
+        # a clause is the tuple of its literals
+        assert isinstance(cl, tuple) and cl == (-1, 2, 3) and cl[1:] == (2, 3)
+        assert cl.literals is cl
 
     def test_duplicates_collapse_preserving_order(self):
         assert clause(2, -1, 2, -1).literals == (2, -1)
@@ -46,6 +50,26 @@ class TestClause:
     def test_tautology_rejected(self):
         with pytest.raises(TautologicalClauseError):
             clause(1, -1)
+
+    def test_bool_literal_rejected(self):
+        with pytest.raises(ValueError, match="^literal must be a nonzero int, got True$"):
+            formula([[True, -2]], 2)
+        with pytest.raises(ValueError, match="^literal must be a nonzero int, got False$"):
+            clause(1, False)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(
+        st.integers(-5, 5) | st.sampled_from((True, False, None, 1.0, -2.5, "3", (1,))),
+        max_size=8,
+    ))
+    def test_matches_reference_clause(self, lits):
+        # zeros, repeats, complementary pairs, bools and non-ints, in any
+        # order: the same tuple, or the same exception type and message
+        try:
+            got = ("ok", tuple(Clause(lits)))
+        except ValueError as exc:
+            got = (type(exc).__name__, str(exc))
+        assert got == reference_clause(lits)
 
     def test_hashable_and_equal(self):
         assert clause(1, -2) == clause(1, -2)
@@ -87,8 +111,37 @@ class TestCnfFormula:
         assert f.density is None
 
     def test_literal_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^clause 1 uses variable 4 but variable_count is 3$"):
             formula([[1, 4]], 3)
+        # the first offending literal of the first offending clause is named
+        with pytest.raises(ValueError, match="^clause 2 uses variable 5 but variable_count is 3$"):
+            CnfFormula(((1, 2), (-3, -5, 4), (7,)), 3)
+
+    @pytest.mark.parametrize("lits", [(1, 0), (2, -1, -2), (), (True, -2)],
+                             ids=["zero", "tautology", "empty", "bool"])
+    def test_raw_clause_rejected_with_clause_error(self, lits):
+        with pytest.raises(ValueError) as want:
+            Clause(lits)
+        with pytest.raises(ValueError) as got:
+            CnfFormula(((1, 2), lits), 2)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+    def test_every_builder_hands_clauses_to_the_gate(self):
+        g = graph(4, [(0, 1), (1, 2), (2, 3)])
+        built = [
+            formula([[1, -2], [2]], 2),
+            CnfFormula(([1, -2, 1], (2,)), 2),
+            generate_random_ksat(6, 8, 3, seed=3),
+            encode_perfect_matching(g).formula,
+            encode_hamiltonian_cycle(g).formula,
+        ]
+        for f in built:
+            assert f.clause_count > 0
+            assert all(type(cl) is Clause for cl in f.clauses)
+        assert built[1].clauses == ((1, -2), (2,))
+        with pytest.raises(TautologicalClauseError):
+            CnfFormula(((1, -1), (0,), ()), 1)
 
     def test_negative_variable_count_rejected(self):
         with pytest.raises(ValueError):

@@ -17,8 +17,11 @@ SAT and UNSAT formulas alike.  Then come ``analyze -`` and ``export-dot
 implication-graph -`` on a fixed corpus of NARROW_CORPUS_SIZE small random
 formulas of clause widths 1-2 (n <= 30; see ``_narrow_corpus``), about
 half of them UNSAT, so that the 2-SAT solver's witness and the implication
-graph are checked too (with the default heuristic only): 2406 commands in
-all at seeds 7 and 3.
+graph are checked too (with the default heuristic only).  Last comes
+``analyze -`` on each of the MALFORMED_DIMACS texts, every one of which
+``parse_dimacs`` or the CLI rejects, so that error messages, their line
+numbers and exit codes are compared as well: 2424 commands in all at seeds
+7 and 3.
 Each checkout then runs all of them in-process through its own
 ``cdfsat.cli.main``, in one subprocess per checkout, with stdin, stdout
 and stderr held in memory; a piped command reads the stdout of its
@@ -49,6 +52,29 @@ MAX_DIFF_LINES = 10
 OTHER_HEURISTIC = ("--heuristic", "most-occurrences")
 CORPUS_SIZE = 500
 NARROW_CORPUS_SIZE = 300
+# (label, DIMACS text): each is refused with a "cdfsat: error:" line, exit 1.
+# A header whose clause count disagrees with the body is left out: its
+# warning names the source file, which differs between checkouts.
+MALFORMED_DIMACS = (
+    ("bad token", "p cnf 3 2\n1 2 0\n-3 x 0\n"),
+    ("bool token", "p cnf 2 1\nTrue -2 0\n"),
+    ("out-of-range literal", "p cnf 2 1\n1 -3 0\n"),
+    ("tautology", "p cnf 2 2\n1 2 0\n2 -1 1 0\n"),
+    ("lone 0", "p cnf 2 2\n1 2 0\n0\n"),
+    ("unterminated clause", "p cnf 3 2\n1 2 0\n-3\n"),
+    ("duplicate header", "p cnf 2 1\n1 0\np cnf 2 1\n"),
+    ("data before the header", "c x\n1 2 0\np cnf 2 1\n"),
+    ("missing header", "c only a comment\n"),
+    ("malformed header", "p cnf two 1\n1 0\n"),
+    ("negative header count", "p cnf 2 -1\n"),
+    ("variable count past the limit", "p cnf 20000 1\n1 0\n"),
+    ("tautology spanning lines", "p cnf 3 2\n1 2 0\n3\n1\n-3 0\n"),
+    ("unterminated clause spanning lines", "p cnf 3 2\n1\n-2 0 2\n3\n"),
+    ("bad token spanning lines", "p cnf 3 1\n1 2\n3 y 0\n"),
+    ("out-of-range literal, then bad token", "p cnf 2 1\n1 3 x 0\n"),
+    ("tautology, then out-of-range literal", "p cnf 2 1\n1 -1 5 0\n"),
+    ("lone 0, then bad token", "p cnf 2 1\n0 z\n"),
+)
 
 
 def _import_cli(src: Path):
@@ -209,6 +235,9 @@ def main(argv: list[str] | None = None) -> int:
             for w in WORKLOADS for s in seeds]
     runs.append(("corpus", _with_twins(_corpus(workloads))))
     runs.append(("narrow corpus", _narrow_corpus(workloads)))
+    runs.append(("malformed DIMACS", [workloads.Command(f"analyze {label}", ("analyze", "-"),
+                                                        None, stdin=text)
+                                      for label, text in MALFORMED_DIMACS]))
     payload = json.dumps([[[list(c.argv), c.stdin, c.pipe_from] for c in commands]
                           for _, commands in runs])
     here, other = _results(ROOT, payload), _results(args.other, payload)
