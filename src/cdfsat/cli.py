@@ -22,7 +22,11 @@ import math
 import os
 import re
 import sys
+import warnings
 from fractions import Fraction
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
+from operator import is_
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -152,9 +156,15 @@ def _read_text(path: str) -> str:
 def _read_formula(path: str) -> CnfFormula:
     """Parse a DIMACS file, refusing more than MAX_VARIABLES variables.
 
-    The check runs before any command allocates per variable.
+    The check runs before any command allocates per variable.  A parser
+    warning (a header clause count the body contradicts) is printed as one
+    ``cdfsat: warning:`` line on stderr, on every call.
     """
-    f = parse_dimacs(_read_text(path))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        f = parse_dimacs(_read_text(path))
+    for w in caught:
+        print(f"cdfsat: warning: {w.message}", file=sys.stderr)
     if f.variable_count > MAX_VARIABLES:
         raise ValueError(
             f"{f.variable_count} variables exceed the limit of {MAX_VARIABLES}"
@@ -174,7 +184,51 @@ def _read_graph(path: str) -> Graph:
 
 
 def _emit_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(_json_text(payload) + "\n")
+
+
+def _json_text(o, newline: str = "\n") -> str:
+    """``json.dumps(o, indent=2, sort_keys=True)``, byte for byte, for the
+    values a report holds: dicts with str keys, lists, tuples, str, int,
+    float, bool and None.  Any other type raises ``TypeError``.
+
+    With ``indent`` set, ``json`` drops to its pure-Python encoder; this
+    one keeps the C string escaper and writes a list of plain ints (a
+    model, ``freeVariables``) in one join.
+    """
+    kind = type(o)
+    if kind is str:
+        return encode_basestring_ascii(o)
+    if kind is int:
+        return int.__repr__(o)
+    if o is None:
+        return "null"
+    if kind is bool:
+        return "true" if o else "false"
+    if kind is float:
+        if o != o:
+            return "NaN"
+        if o in (math.inf, -math.inf):
+            return "Infinity" if o > 0 else "-Infinity"
+        return float.__repr__(o)
+    inner = newline + "  "
+    if kind is dict:
+        if not o:
+            return "{}"
+        keys = sorted(o)
+        if not all(map(is_, map(type, keys), repeat(str))):
+            raise TypeError("JSON object keys must be str")
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(o[k], inner)}" for k in keys]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list or kind is tuple:
+        if not o:
+            return "[]"
+        if all(map(is_, map(type, o), repeat(int))):
+            items = map(int.__repr__, o)
+        else:
+            items = [_json_text(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _print_table(rows: Sequence[tuple[str, str]]) -> None:

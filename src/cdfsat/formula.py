@@ -17,7 +17,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress, count, repeat
+from operator import not_
 from typing import Iterable
 
 Assignment = dict[int, bool]
@@ -90,7 +91,8 @@ class CnfFormula:
 
     Every clause given is checked here: one that is not yet a ``Clause``
     is made one, raising ``Clause``'s error, and every literal must lie in
-    the variable range.  ``formula``, ``generate_random_ksat`` and the
+    the variable range.  ``variable_count`` must be a non-negative int (a
+    bool is rejected).  ``formula``, ``generate_random_ksat`` and the
     encoders hand over plain literal tuples; ``parse_dimacs`` builds each
     ``Clause`` itself, so that its errors can name the clause and the line.
     The clause list is a multiset: duplicated clauses are preserved in input
@@ -104,9 +106,13 @@ class CnfFormula:
 
     def __post_init__(self) -> None:
         n = self.variable_count
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError(f"variable_count must be an int, got {n!r}")
         if n < 0:
             raise ValueError("variable_count must be >= 0")
-        clauses = tuple(cl if isinstance(cl, Clause) else Clause(cl) for cl in self.clauses)
+        clauses = tuple(self.clauses)
+        if not all(map(isinstance, clauses, repeat(Clause))):
+            clauses = tuple(cl if isinstance(cl, Clause) else Clause(cl) for cl in clauses)
         object.__setattr__(self, "clauses", clauses)
         if max(map(abs, chain.from_iterable(clauses)), default=0) > n:
             i, var = next((i, abs(lit)) for i, cl in enumerate(clauses, 1)
@@ -163,9 +169,98 @@ def parse_dimacs(text: str) -> CnfFormula:
     clause (clauses may span lines).  A line starting with ``%`` ends the
     clause data and the rest of the text is ignored, which accepts the
     ``%`` / ``0`` trailer of SATLIB benchmark files.  A header clause count
-    that disagrees with the actual number of clauses is a warning, not an
-    error; a literal referencing a variable beyond the header count is an
-    error; a tautological clause is an error naming the clause ordinal.
+    that disagrees with the actual number of clauses is a ``DimacsWarning``,
+    not an error; a literal referencing a variable beyond the header count
+    is an error; a tautological clause is an error naming the clause
+    ordinal.
+
+    The text takes one of two paths, with the same result.  A clean text,
+    such as any ``write_dimacs`` output, is read in bulk: the header after
+    any leading blank and comment lines, then the body in blocks of whole
+    lines, each block converted and checked in a few passes over all its
+    literals at once.  Anything else the bulk pass does not vouch for (a
+    comment, ``%`` or second header line in the body, a token that is not
+    an int, a literal out of range, an empty or unterminated clause, a
+    repeated or complementary literal, a clause that spans two blocks, or a
+    header clause count that differs from the body's) sends the whole text
+    through the line-by-line parser, which alone raises
+    ``DimacsParseError`` and warns.
+    """
+    f = _parse_dimacs_clean(text)
+    return _parse_dimacs_lines(text) if f is None else f
+
+
+# the bulk pass reads the body in blocks of whole lines of about this many
+# characters (a few thousand clause lines), so that its per-block token and
+# literal lists stay small on a large file
+_BLOCK_CHARS = 1 << 16
+
+
+def _parse_dimacs_clean(text: str) -> CnfFormula | None:
+    """The formula of a clean DIMACS text, or None for any other text."""
+    pos = 0
+    while True:  # leading blank and comment lines, then the header
+        end = text.find("\n", pos)
+        if end < 0:
+            end = len(text)
+        raw = text[pos:end]
+        if len(raw.splitlines()) > 1:  # a line break other than \n or \r\n
+            return None
+        line = raw.strip()
+        pos = end + 1
+        if line and not line.startswith("c"):
+            break
+        if pos > len(text):
+            return None
+    parts = line.split()
+    if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
+        return None
+    try:
+        var_count, clause_total = int(parts[2]), int(parts[3])
+    except ValueError:
+        return None
+    if var_count < 0 or clause_total < 0:
+        return None
+    clauses: list[Clause] = []
+    while pos < len(text):
+        end = text.find("\n", pos + _BLOCK_CHARS)
+        if end < 0:
+            end = len(text)
+        block_clauses = _clean_block_clauses(text[pos:end], var_count)
+        if block_clauses is None:
+            return None
+        clauses += block_clauses
+        pos = end + 1
+    if len(clauses) != clause_total:
+        return None
+    return CnfFormula(tuple(clauses), var_count)
+
+
+def _clean_block_clauses(block: str, var_count: int) -> list[Clause] | None:
+    """The clauses of one block of body lines, or None unless every token is
+    an int literal in range and every clause is non-empty, ends in the
+    block, and has distinct variables (so ``Clause`` would keep it as is)."""
+    try:
+        lits = list(map(int, block.split()))
+    except ValueError:
+        return None
+    if not lits:
+        return []
+    variables = list(map(abs, lits))
+    if lits[-1] != 0 or max(variables) > var_count:
+        return None
+    ends = list(compress(count(), map(not_, lits)))  # the zeros
+    cuts = list(map(slice, [0, *map((1).__add__, ends[:-1])], ends))
+    clauses = list(map(tuple.__new__, repeat(Clause), map(lits.__getitem__, cuts)))
+    widths = list(map(len, clauses))
+    if 0 in widths or list(map(len, map(set, map(variables.__getitem__, cuts)))) != widths:
+        return None
+    return clauses
+
+
+def _parse_dimacs_lines(text: str) -> CnfFormula:
+    """``parse_dimacs`` one line at a time: the path that names the line of
+    any fault, and warns on a header clause count that the body contradicts.
     """
     var_count: int | None = None
     clause_total: int | None = None
@@ -232,7 +327,7 @@ def parse_dimacs(text: str) -> CnfFormula:
         warnings.warn(
             f"header declares {clause_total} clauses, found {len(clauses)}",
             DimacsWarning,
-            stacklevel=2,
+            stacklevel=3,  # the caller of parse_dimacs
         )
     return CnfFormula(tuple(clauses), var_count)
 

@@ -7,8 +7,11 @@ import resource
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdfsat import cli
 from cdfsat.formula import formula, generate_random_ksat, parse_dimacs, write_dimacs
@@ -133,6 +136,22 @@ class TestAnalyze:
         proc = run_cli("analyze", "-", "--quiet", stdin_text="p cnf 3 1\n1 -2 3 0\n%\n0\n")
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["formula"]["clauseCount"] == 1
+
+    def test_header_count_mismatch_warns_in_one_line(self):
+        proc = run_cli("analyze", "-", "--quiet", stdin_text="p cnf 3 5\n1 2 0\n")
+        assert proc.returncode == 0
+        assert proc.stderr == "cdfsat: warning: header declares 5 clauses, found 1\n"
+        fixed = run_cli("analyze", "-", "--quiet", stdin_text="p cnf 3 1\n1 2 0\n")
+        assert proc.stdout == fixed.stdout
+
+    def test_header_count_mismatch_warns_on_every_call(self, tmp_path, capsys):
+        path = tmp_path / "mismatch.cnf"
+        path.write_text("p cnf 3 5\n1 2 0\n")
+        for argv in [["analyze", str(path), "--quiet"], ["export-dot", "trace", str(path)]] * 2:
+            assert run_main(argv) == 0
+            assert capsys.readouterr().err == (
+                "cdfsat: warning: header declares 5 clauses, found 1\n"
+            )
 
     def test_narrow_unsat_search_stops_at_autarky(self, tmp_path, capsys, monkeypatch):
         # 8 free clauses (x_i | y_i), then an UNSAT core on a, b, c: DPLL
@@ -689,6 +708,30 @@ class TestDeterminism:
     def test_export_dot_byte_identical(self, wide_file):
         args = ("export-dot", "trace", wide_file)
         assert run_cli(*args, binary=True).stdout == run_cli(*args, binary=True).stdout
+
+
+_JSON_STR = st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7f\u00e9\u20ac\U0001f600') | st.characters(),
+                    max_size=6)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**80), 2**80) | _JSON_STR
+    | st.sampled_from((math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300)) | st.floats(),
+    lambda inner: st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+    | st.lists(st.integers(), max_size=5) | st.dictionaries(_JSON_STR, inner, max_size=5),
+    max_leaves=30,
+)
+
+
+class TestJsonText:
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_VALUES)
+    def test_matches_json_dumps(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [{1: 2}, {"a": {None: 1}}, Fraction(1, 2), [b"x"],
+                                       [[object()]]])
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            cli._json_text(value)
 
 
 class TestUsage:

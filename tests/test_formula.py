@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import time
+import warnings
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdfsat import formula as formula_module
 from cdfsat.encoders import encode_hamiltonian_cycle, encode_perfect_matching, graph
 from cdfsat.formula import (
     Clause,
@@ -147,6 +150,13 @@ class TestCnfFormula:
         with pytest.raises(ValueError):
             CnfFormula((), -1)
 
+    @pytest.mark.parametrize("n", [True, False, 1.5, 2.0, "3", None])
+    def test_non_int_variable_count_rejected(self, n):
+        # write_dimacs would write a header (p cnf True 1) that parse_dimacs
+        # rejects
+        with pytest.raises(ValueError, match=f"^variable_count must be an int, got {n!r}$"):
+            formula([[1]], n)
+
     def test_satisfies(self):
         f = formula([[-1, 2], [-2, 3]], 3)
         assert satisfies(f, {1: True, 2: True, 3: True})
@@ -196,6 +206,11 @@ class TestDimacs:
         with pytest.raises(DimacsParseError):
             parse_dimacs("1 2 0\n")
 
+    def test_negative_header_count_is_a_parse_error(self):
+        for text in ("p cnf -1 0\n", "p cnf 2 -1\n"):
+            with pytest.raises(DimacsParseError, match="^line 1: negative counts in header"):
+                parse_dimacs(text)
+
     def test_literal_beyond_declared_range(self):
         with pytest.raises(DimacsParseError) as exc:
             parse_dimacs("p cnf 2 1\n1 3 0\n")
@@ -227,6 +242,100 @@ class TestDimacs:
     def test_write_includes_comments(self):
         out = write_dimacs(formula([[1]], 1), comments=("hello", ""))
         assert out.startswith("c hello\nc\np cnf 1 1\n")
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_bulk_path_matches_line_path(self, data):
+        # clause lists laid out with spanning clauses, CRLF, \f and \v,
+        # blank lines, and +1 and 007 tokens, in blocks as small as 1
+        # character, with at most one fault or oddity of the kinds in
+        # `oddity`: a repeated or complementary literal, a zero or an
+        # out-of-range literal in a clause, a comment line in the body, a %
+        # trailer, an unterminated clause, a header count off by one, a
+        # malformed header, or a line break that only splitlines sees
+        oddity = data.draw(st.sampled_from((
+            None, None, None, None, "repeat", "zero", "range", "comment", "trailer",
+            "unterminated", "count", "header", "hidden line",
+        )))
+        n = data.draw(st.integers(1, 8))
+        clause_lists = data.draw(st.lists(
+            st.lists(st.integers(1, n), min_size=1, max_size=min(4, n), unique=True).flatmap(
+                lambda vs: st.tuples(*(st.sampled_from((v, -v)) for v in vs)).map(list)),
+            max_size=8,
+        ))
+        if clause_lists and oddity in ("repeat", "zero", "range"):
+            target = data.draw(st.sampled_from(clause_lists))
+            if oddity == "repeat":
+                fault = data.draw(st.sampled_from(target)) * data.draw(st.sampled_from((1, -1)))
+            elif oddity == "zero":
+                fault = 0
+            else:
+                fault = data.draw(st.sampled_from((n + 1, -n - 1)))
+            target.insert(data.draw(st.integers(0, len(target))), fault)
+        comment = ("\nc x\n",) if oddity == "comment" else ()
+        gap = st.sampled_from((" ", " ", "\t", "\n", "\r\n", "\x0c", "\x0b", *comment))
+        between = st.sampled_from(("\n", "\n", " ", "\r\n", "\n\n", *comment))
+
+        def spell(lit: int) -> str:  # 7, +7, 007, -07, +0, ...
+            sign = "-" if lit < 0 else data.draw(st.sampled_from(("", "", "+")))
+            return sign + data.draw(st.sampled_from(("", "", "0", "00"))) + str(abs(lit))
+
+        body = "".join(
+            data.draw(between) + data.draw(gap).join([*map(spell, cl), "0"])
+            for cl in clause_lists
+        )
+        if oddity == "unterminated":
+            body = body[: -len("0")]
+        declared = len(clause_lists) + sum(cl.count(0) for cl in clause_lists)
+        if oddity == "count":
+            declared += data.draw(st.sampled_from((-1, 1)))
+        head = data.draw(st.sampled_from(("", "", "c head\n", "\n \n", "c a\r\n")))
+        if oddity == "hidden line":
+            # a line break other than \n hides "1 0" in a comment from a
+            # reader that splits at \n alone
+            head += data.draw(st.sampled_from(("c\x0b1 0\n", "c\r1 0\n", "c\x851 0\n")))
+        header = f"p cnf {n} {declared}"
+        if oddity == "header":
+            header = data.draw(st.sampled_from((
+                f"pp cnf {n} {declared}", f"1 cnf {n} {declared}", f"p cnf {n}",
+                f"p cnf -{n} {declared}", f"p cnf {n} {declared} 0", f"p cnf x {declared}",
+            )))
+        tail = data.draw(st.sampled_from(("\n", "", "\r\n")))
+        if oddity == "trailer":
+            tail = data.draw(st.sampled_from(("\n%\n0\n", "\n%")))
+        text = f"{head}{header}{body}{tail}"
+        block_chars = data.draw(st.sampled_from((1, 4, 16, 1 << 16)))
+
+        def outcome(parse):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    f = parse(text)
+                except ValueError as exc:
+                    return (type(exc).__name__, str(exc))
+            assert all(type(cl) is Clause for cl in f.clauses)
+            return ("ok", f, [(w.category, str(w.message)) for w in caught])
+
+        with mock.patch.object(formula_module, "_BLOCK_CHARS", block_chars):
+            assert outcome(parse_dimacs) == outcome(formula_module._parse_dimacs_lines)
+
+    def test_write_dimacs_output_takes_bulk_path(self, monkeypatch):
+        def line_path(text):
+            raise AssertionError("parse_dimacs fell back to the line-by-line path")
+
+        enc = encode_hamiltonian_cycle(graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]))
+        built = [
+            (formula([], 0), ()),
+            (formula([[1]], 1), ("one comment", "")),
+            (formula([[-3, 1, 2], [2]], 9), ()),
+            (generate_random_ksat(40, 170, 3, seed=4), ()),
+            (enc.formula, enc.comment_lines()),
+            # 21300 clauses, 380 KB: six blocks
+            (generate_random_ksat(5000, 21300, 3, seed=1), ()),
+        ]
+        monkeypatch.setattr(formula_module, "_parse_dimacs_lines", line_path)
+        for f, comments in built:
+            assert parse_dimacs(write_dimacs(f, comments)) == f
 
     @settings(max_examples=50)
     @given(

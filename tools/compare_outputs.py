@@ -17,11 +17,14 @@ SAT and UNSAT formulas alike.  Then come ``analyze -`` and ``export-dot
 implication-graph -`` on a fixed corpus of NARROW_CORPUS_SIZE small random
 formulas of clause widths 1-2 (n <= 30; see ``_narrow_corpus``), about
 half of them UNSAT, so that the 2-SAT solver's witness and the implication
-graph are checked too (with the default heuristic only).  Last comes
+graph are checked too (with the default heuristic only).  Then comes
 ``analyze -`` on each of the MALFORMED_DIMACS texts, every one of which
 ``parse_dimacs`` or the CLI rejects, so that error messages, their line
-numbers and exit codes are compared as well: 2424 commands in all at seeds
-7 and 3.
+numbers and exit codes are compared as well.  Then ``analyze -`` and
+``export-dot trace -`` run on each of the VALID_DIMACS texts, which
+``parse_dimacs`` accepts but reads line by line rather than in bulk, and
+last come the PROVE_COMMANDS, so that every command that writes a JSON
+report is compared: 2450 commands in all at seeds 7 and 3.
 Each checkout then runs all of them in-process through its own
 ``cdfsat.cli.main``, in one subprocess per checkout, with stdin, stdout
 and stderr held in memory; a piped command reads the stdout of its
@@ -53,8 +56,6 @@ OTHER_HEURISTIC = ("--heuristic", "most-occurrences")
 CORPUS_SIZE = 500
 NARROW_CORPUS_SIZE = 300
 # (label, DIMACS text): each is refused with a "cdfsat: error:" line, exit 1.
-# A header whose clause count disagrees with the body is left out: its
-# warning names the source file, which differs between checkouts.
 MALFORMED_DIMACS = (
     ("bad token", "p cnf 3 2\n1 2 0\n-3 x 0\n"),
     ("bool token", "p cnf 2 1\nTrue -2 0\n"),
@@ -74,6 +75,37 @@ MALFORMED_DIMACS = (
     ("out-of-range literal, then bad token", "p cnf 2 1\n1 3 x 0\n"),
     ("tautology, then out-of-range literal", "p cnf 2 1\n1 -1 5 0\n"),
     ("lone 0, then bad token", "p cnf 2 1\n0 z\n"),
+)
+# (label, DIMACS text): each is accepted, but only line by line.  A header
+# whose clause count disagrees with the body is left out: a checkout whose
+# CLI lets Python print that warning writes its own source path to stderr.
+VALID_DIMACS = (
+    ("comment between clauses", "p cnf 3 2\n1 -2 0\nc a comment\n2 3 0\n"),
+    ("comment inside a clause", "p cnf 3 1\n1\nc a comment\n-2 3 0\n"),
+    ("clauses spanning lines, a repeated literal", "p cnf 4 2\n1\n-2 3\n0 4 -1 4 0\n"),
+    ("SATLIB trailer", "p cnf 3 2\n1 -2 3 0\n-1 2 0\n%\n0\n"),
+    ("duplicate literals", "p cnf 3 2\n1 1 -2 0\n3 -2 3 -2 0\n"),
+    ("CRLF line ends", "c crlf\r\np cnf 3 2\r\n1 -2 0\r\nc x\r\n2 3 0\r\n"),
+    ("+1 and 007 tokens", "p cnf 7 3\nc signs\n+1 -2 0\n007 -003 0\n+7 0\n"),
+    ("form feed and vertical tab", "p cnf 3 2\n1 -2 0\x0cc x\n2 3\x0b0\n"),
+    ("blank and comment lines in the body", "\np cnf 2 2\n\nc x\n\n1 -2 0\n-1 0\n\n"),
+    ("empty body but a comment", "p cnf 2 0\nc nothing\n"),
+)
+# prove argv and stdin (a derivation read from "-"); the truth table is
+# listed up to 8 atoms, and past TRUTH_TABLE_ATOM_CAP the command exits 2
+PROVE_COMMANDS = (
+    (("prove", "A -> (B -> A)", "--derivation", "-"), """[
+        {"formula": "A", "rule": "assumption"},
+        {"formula": "B", "rule": "assumption"},
+        {"formula": "A", "rule": "reiteration", "of": 1},
+        {"formula": "B -> A", "rule": "implies-intro", "from": 2, "to": 3},
+        {"formula": "A -> (B -> A)", "rule": "implies-intro", "from": 1, "to": 4}]"""),
+    (("prove", "A -> B", "--derivation", "-"),
+     '[{"formula": "A", "rule": "assumption"}, {"formula": "B", "rule": "reiteration", "of": 1}]'),
+    (("prove", "(p -> q) -> (~q -> ~p)"), None),
+    (("prove", "\u00e9t\u00e9 | ~\u00e9t\u00e9 & x_1", "--quiet"), None),
+    (("prove", " | ".join(f"A{i}" for i in range(9)), "--quiet"), None),
+    (("prove", " | ".join(f"A{i}" for i in range(21)), "--quiet"), None),
 )
 
 
@@ -238,6 +270,12 @@ def main(argv: list[str] | None = None) -> int:
     runs.append(("malformed DIMACS", [workloads.Command(f"analyze {label}", ("analyze", "-"),
                                                         None, stdin=text)
                                       for label, text in MALFORMED_DIMACS]))
+    runs.append(("valid DIMACS", [workloads.Command(f"{' '.join(argv[:-1])} {label}", argv,
+                                                    None, stdin=text)
+                                  for argv in (("analyze", "-"), ("export-dot", "trace", "-"))
+                                  for label, text in VALID_DIMACS]))
+    runs.append(("prove", [workloads.Command(" ".join(argv), argv, None, stdin=text)
+                           for argv, text in PROVE_COMMANDS]))
     payload = json.dumps([[[list(c.argv), c.stdin, c.pipe_from] for c in commands]
                           for _, commands in runs])
     here, other = _results(ROOT, payload), _results(args.other, payload)
