@@ -17,8 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress, count, repeat
-from operator import not_
+from itertools import chain, repeat
 from typing import Iterable
 
 Assignment = dict[int, bool]
@@ -176,15 +175,15 @@ def parse_dimacs(text: str) -> CnfFormula:
 
     The text takes one of two paths, with the same result.  A clean text,
     such as any ``write_dimacs`` output, is read in bulk: the header after
-    any leading blank and comment lines, then the body in blocks of whole
-    lines, each block converted and checked in a few passes over all its
-    literals at once.  Anything else the bulk pass does not vouch for (a
-    comment, ``%`` or second header line in the body, a token that is not
-    an int, a literal out of range, an empty or unterminated clause, a
-    repeated or complementary literal, a clause that spans two blocks, or a
-    header clause count that differs from the body's) sends the whole text
-    through the line-by-line parser, which alone raises
-    ``DimacsParseError`` and warns.
+    any leading blank and comment lines, then the body up to a ``%`` line
+    in blocks of whole lines, each block converted and checked in a few
+    passes over all its literals at once.  Anything else the bulk pass does
+    not vouch for (a comment or second header line in the body, a token
+    that is not an int, a literal out of range, an empty or unterminated
+    clause, a repeated or complementary literal, or a clause that spans two
+    blocks) sends the whole text through the line-by-line parser, which
+    alone raises ``DimacsParseError``.  Both paths warn on the header clause
+    count.
     """
     f = _parse_dimacs_clean(text)
     return _parse_dimacs_lines(text) if f is None else f
@@ -221,18 +220,23 @@ def _parse_dimacs_clean(text: str) -> CnfFormula | None:
         return None
     if var_count < 0 or clause_total < 0:
         return None
+    body_end = len(text)
+    percent = text.find("%", pos)
+    if percent >= 0:  # the body ends at a line that starts with %
+        body_end = max(text.rfind("\n", pos, percent) + 1, pos)
+        if text[body_end:percent].strip():  # a % after a token on its line
+            return None
     clauses: list[Clause] = []
-    while pos < len(text):
-        end = text.find("\n", pos + _BLOCK_CHARS)
+    while pos < body_end:
+        end = text.find("\n", pos + _BLOCK_CHARS, body_end)
         if end < 0:
-            end = len(text)
+            end = body_end
         block_clauses = _clean_block_clauses(text[pos:end], var_count)
         if block_clauses is None:
             return None
         clauses += block_clauses
         pos = end + 1
-    if len(clauses) != clause_total:
-        return None
+    _check_clause_total(clause_total, len(clauses))
     return CnfFormula(tuple(clauses), var_count)
 
 
@@ -244,18 +248,29 @@ def _clean_block_clauses(block: str, var_count: int) -> list[Clause] | None:
         lits = list(map(int, block.split()))
     except ValueError:
         return None
-    if not lits:
-        return []
-    variables = list(map(abs, lits))
-    if lits[-1] != 0 or max(variables) > var_count:
+    if lits and (lits[-1] != 0 or max(map(abs, lits)) > var_count):
         return None
-    ends = list(compress(count(), map(not_, lits)))  # the zeros
-    cuts = list(map(slice, [0, *map((1).__add__, ends[:-1])], ends))
-    clauses = list(map(tuple.__new__, repeat(Clause), map(lits.__getitem__, cuts)))
-    widths = list(map(len, clauses))
-    if 0 in widths or list(map(len, map(set, map(variables.__getitem__, cuts)))) != widths:
-        return None
+    clauses: list[Clause] = []
+    start = 0
+    while start < len(lits):
+        end = lits.index(0, start)
+        literals = lits[start:end]
+        if not literals or len(set(map(abs, literals))) != len(literals):
+            return None
+        clauses.append(tuple.__new__(Clause, literals))
+        start = end + 1
     return clauses
+
+
+def _check_clause_total(declared: int, found: int) -> None:
+    """Warn, naming the caller of ``parse_dimacs``, when the header's clause
+    count differs from the body's."""
+    if declared != found:
+        warnings.warn(
+            f"header declares {declared} clauses, found {found}",
+            DimacsWarning,
+            stacklevel=4,
+        )
 
 
 def _parse_dimacs_lines(text: str) -> CnfFormula:
@@ -323,12 +338,8 @@ def _parse_dimacs_lines(text: str) -> CnfFormula:
         raise DimacsParseError(
             f"clause {len(clauses) + 1} not terminated by 0", pending_line
         )
-    if clause_total is not None and clause_total != len(clauses):
-        warnings.warn(
-            f"header declares {clause_total} clauses, found {len(clauses)}",
-            DimacsWarning,
-            stacklevel=3,  # the caller of parse_dimacs
-        )
+    if clause_total is not None:
+        _check_clause_total(clause_total, len(clauses))
     return CnfFormula(tuple(clauses), var_count)
 
 

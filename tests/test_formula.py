@@ -302,7 +302,9 @@ class TestDimacs:
             )))
         tail = data.draw(st.sampled_from(("\n", "", "\r\n")))
         if oddity == "trailer":
-            tail = data.draw(st.sampled_from(("\n%\n0\n", "\n%")))
+            # a % after a token on the same line is a bad token, unless a
+            # line break that only splitlines sees comes first
+            tail = data.draw(st.sampled_from(("\n%\n0\n", "\n%", " %\n0\n", "\x0c%\n")))
         text = f"{head}{header}{body}{tail}"
         block_chars = data.draw(st.sampled_from((1, 4, 16, 1 << 16)))
 
@@ -336,6 +338,30 @@ class TestDimacs:
         monkeypatch.setattr(formula_module, "_parse_dimacs_lines", line_path)
         for f, comments in built:
             assert parse_dimacs(write_dimacs(f, comments)) == f
+
+    def test_trailer_and_count_mismatch_take_bulk_path(self, monkeypatch):
+        # valid forms that a reader of SATLIB files or of a hand-edited
+        # header meets; falling back would parse them twice
+        def line_path(text):
+            raise AssertionError("parse_dimacs fell back to the line-by-line path")
+
+        monkeypatch.setattr(formula_module, "_parse_dimacs_lines", line_path)
+        # 21300 clauses: six blocks
+        for f in (formula([], 0), formula([[1, -2], [2]], 2),
+                  generate_random_ksat(5000, 21300, 3, seed=1)):
+            text = write_dimacs(f)
+            # the last trailer is longer than a block
+            for trailer in ("%\n0\n", "%", " %\r\n0\n\n", "\x0c%\n1 2 x\n", "%\n" + "0\n" * 40000):
+                assert parse_dimacs(text + trailer) == f
+            header = f"p cnf {f.variable_count} {f.clause_count}\n"
+            for declared in (f.clause_count - 1, f.clause_count + 1):
+                if declared < 0:
+                    continue
+                wrong = text.replace(header, f"p cnf {f.variable_count} {declared}\n")
+                message = f"^header declares {declared} clauses, found {f.clause_count}$"
+                with pytest.warns(DimacsWarning, match=message) as caught:
+                    assert parse_dimacs(wrong + "%\n0\n") == f
+                assert len(caught) == 1 and caught[0].filename == __file__
 
     @settings(max_examples=50)
     @given(

@@ -22,8 +22,8 @@ graph are checked too (with the default heuristic only).  Then comes
 ``parse_dimacs`` or the CLI rejects, so that error messages, their line
 numbers and exit codes are compared as well.  Then ``analyze -`` and
 ``export-dot trace -`` run on each of the VALID_DIMACS texts, which
-``parse_dimacs`` accepts but reads line by line rather than in bulk, and
-last come the PROVE_COMMANDS, so that every command that writes a JSON
+``parse_dimacs`` accepts although they are not in the form that
+``write_dimacs`` writes, and last come the PROVE_COMMANDS, so that every command that writes a JSON
 report is compared: 2450 commands in all at seeds 7 and 3.
 Each checkout then runs all of them in-process through its own
 ``cdfsat.cli.main``, in one subprocess per checkout, with stdin, stdout
@@ -76,7 +76,8 @@ MALFORMED_DIMACS = (
     ("tautology, then out-of-range literal", "p cnf 2 1\n1 -1 5 0\n"),
     ("lone 0, then bad token", "p cnf 2 1\n0 z\n"),
 )
-# (label, DIMACS text): each is accepted, but only line by line.  A header
+# (label, DIMACS text): each is accepted, all but the SATLIB trailer only
+# line by line.  A header
 # whose clause count disagrees with the body is left out: a checkout whose
 # CLI lets Python print that warning writes its own source path to stderr.
 VALID_DIMACS = (
