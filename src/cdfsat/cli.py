@@ -344,6 +344,10 @@ def _parse_n_list(text: str, parser: argparse.ArgumentParser) -> list[int]:
     return values
 
 
+class _DrawError(ValueError):
+    """A ``growth`` family member could not be drawn from the parameters."""
+
+
 def _cmd_growth(args: argparse.Namespace) -> int:
     cap = _resolve_cap(args.cap)
     ns = _parse_n_list(args.n, args.parser)
@@ -357,13 +361,17 @@ def _cmd_growth(args: argparse.Namespace) -> int:
 
     def family(n: int) -> CnfFormula:
         m = math.floor(density * n)
-        return generate_random_ksat(
-            n, m, args.k, seed=args.seed + n, disjoint=args.disjoint
-        )
+        try:
+            return generate_random_ksat(
+                n, m, args.k, seed=args.seed + n, disjoint=args.disjoint
+            )
+        except ValueError as exc:
+            raise _DrawError(str(exc)) from None
 
-    family(ns[0])  # surface bad parameter combinations as usage errors
     try:
         fit = measure_growth(family, ns, enumeration_cap=cap)
+    except _DrawError:
+        raise  # a usage error (exit 1), not a partial result
     except ValueError as exc:
         print(f"cdfsat: error: {exc}", file=sys.stderr)
         return 2

@@ -171,73 +171,108 @@ def parse_dimacs(text: str) -> CnfFormula:
     that disagrees with the actual number of clauses is a ``DimacsWarning``,
     not an error; a literal referencing a variable beyond the header count
     is an error; a tautological clause is an error naming the clause
-    ordinal.
+    ordinal.  Lines are those of ``str.splitlines``, numbered from 1.
 
-    The text takes one of two paths, with the same result.  A clean text,
-    such as any ``write_dimacs`` output, is read in bulk: the header after
-    any leading blank and comment lines, then the body up to a ``%`` line
-    in blocks of whole lines, each block converted and checked in a few
-    passes over all its literals at once.  Anything else the bulk pass does
-    not vouch for (a comment or second header line in the body, a token
-    that is not an int, a literal out of range, an empty or unterminated
-    clause, a repeated or complementary literal, or a clause that spans two
-    blocks) sends the whole text through the line-by-line parser, which
-    alone raises ``DimacsParseError``.  Both paths warn on the header clause
-    count.
+    The text is parsed once.  The data ends at the first line that starts
+    with ``%``.  A header step reads the leading blank and comment lines
+    and the header, and the body after it is read in blocks of whole lines.
+    The bulk step takes a block whole when no clause runs into it, every
+    token is an int literal in range, and every clause ends in the block
+    with distinct variables, as in any ``write_dimacs`` output.  Any other
+    block goes to the line step, which parses that block alone, one line at
+    a time, and alone raises the body's ``DimacsParseError``.  Lines are
+    counted only when a block reaches the line step.
     """
-    f = _parse_dimacs_clean(text)
-    return _parse_dimacs_lines(text) if f is None else f
+    data_end = _data_end(text)
+    var_count, clause_total, pos, lines = _read_header(text, data_end)
+    clauses: list[Clause] = []
+    pending: list[int] = []  # the clause the line step left open, if any
+    pending_line = 0  # the line where it began
+    counted = pos  # the text up to here holds `lines` lines
+    while pos < data_end:
+        end = text.find("\n", pos + _BLOCK_CHARS, data_end) + 1 or data_end
+        block = text[pos:end]
+        bulk = None if pending else _clean_block_clauses(block, var_count)
+        if bulk is None:
+            lines += _line_count(text, counted, pos)
+            pending_line, lines = _parse_lines(
+                block, lines, var_count, clauses, pending, pending_line
+            )
+            counted = end
+        else:
+            clauses += bulk
+        pos = end
+    if pending:
+        raise DimacsParseError(
+            f"clause {len(clauses) + 1} not terminated by 0", pending_line
+        )
+    if clause_total != len(clauses):
+        warnings.warn(
+            f"header declares {clause_total} clauses, found {len(clauses)}",
+            DimacsWarning,
+            stacklevel=2,
+        )
+    return CnfFormula(tuple(clauses), var_count)
 
 
-# the bulk pass reads the body in blocks of whole lines of about this many
-# characters (a few thousand clause lines), so that its per-block token and
-# literal lists stay small on a large file
+# the body is read in blocks of whole lines of about this many characters (a
+# few thousand clause lines), so that the bulk step's token and literal lists
+# stay small on a large file, and the line step parses at most one block for
+# each oddity
 _BLOCK_CHARS = 1 << 16
 
 
-def _parse_dimacs_clean(text: str) -> CnfFormula | None:
-    """The formula of a clean DIMACS text, or None for any other text."""
-    pos = 0
-    while True:  # leading blank and comment lines, then the header
-        end = text.find("\n", pos)
-        if end < 0:
-            end = len(text)
-        raw = text[pos:end]
-        if len(raw.splitlines()) > 1:  # a line break other than \n or \r\n
-            return None
-        line = raw.strip()
-        pos = end + 1
-        if line and not line.startswith("c"):
-            break
-        if pos > len(text):
-            return None
-    parts = line.split()
-    if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
-        return None
-    try:
-        var_count, clause_total = int(parts[2]), int(parts[3])
-    except ValueError:
-        return None
-    if var_count < 0 or clause_total < 0:
-        return None
-    body_end = len(text)
-    percent = text.find("%", pos)
-    if percent >= 0:  # the body ends at a line that starts with %
-        body_end = max(text.rfind("\n", pos, percent) + 1, pos)
-        if text[body_end:percent].strip():  # a % after a token on its line
-            return None
-    clauses: list[Clause] = []
-    while pos < body_end:
-        end = text.find("\n", pos + _BLOCK_CHARS, body_end)
-        if end < 0:
-            end = body_end
-        block_clauses = _clean_block_clauses(text[pos:end], var_count)
-        if block_clauses is None:
-            return None
-        clauses += block_clauses
-        pos = end + 1
-    _check_clause_total(clause_total, len(clauses))
-    return CnfFormula(tuple(clauses), var_count)
+def _read_header(text: str, data_end: int) -> tuple[int, int, int, int]:
+    """The variable and clause counts of the header, which must come before
+    ``data_end`` and after nothing but blank and comment lines, the position
+    just past its line, and its line number."""
+    pos = lineno = 0
+    while pos < data_end:
+        end = text.find("\n", pos, data_end) + 1 or data_end
+        for raw in text[pos:end].splitlines(keepends=True):
+            lineno += 1
+            pos += len(raw)
+            line = raw.strip()
+            if not line or line.startswith("c"):
+                continue
+            if not line.startswith("p"):
+                raise DimacsParseError("clause data before 'p cnf' header", lineno)
+            parts = line.split()
+            if len(parts) != 4 or parts[1] != "cnf":
+                raise DimacsParseError(f"malformed header {line!r}", lineno)
+            try:
+                var_count, clause_total = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise DimacsParseError(f"malformed header {line!r}", lineno) from None
+            if var_count < 0 or clause_total < 0:
+                raise DimacsParseError(f"negative counts in header {line!r}", lineno)
+            return var_count, clause_total, pos, lineno
+    raise DimacsParseError("missing 'p cnf' header")
+
+
+# the characters at which str.splitlines ends a line ("\r\n" is one break)
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _line_count(text: str, start: int, end: int) -> int:
+    """How many lines ``str.splitlines`` finds in ``text[start:end]``, which
+    starts and ends at line boundaries, counted without building them."""
+    breaks = sum(text.count(c, start, end) for c in _LINE_BREAKS)
+    return breaks - text.count("\r\n", start, end)
+
+
+def _data_end(text: str) -> int:
+    """Where the data ends: at the start of the first line whose first
+    non-blank character is ``%``, else at the text's end."""
+    percent = text.find("%")
+    while percent >= 0:
+        start = percent  # back over the blanks before the % on its line
+        while start and text[start - 1] not in _LINE_BREAKS and text[start - 1].isspace():
+            start -= 1
+        if not start or text[start - 1] in _LINE_BREAKS:
+            return start
+        percent = text.find("%", percent + 1)
+    return len(text)
 
 
 def _clean_block_clauses(block: str, var_count: int) -> list[Clause] | None:
@@ -262,54 +297,32 @@ def _clean_block_clauses(block: str, var_count: int) -> list[Clause] | None:
     return clauses
 
 
-def _check_clause_total(declared: int, found: int) -> None:
-    """Warn, naming the caller of ``parse_dimacs``, when the header's clause
-    count differs from the body's."""
-    if declared != found:
-        warnings.warn(
-            f"header declares {declared} clauses, found {found}",
-            DimacsWarning,
-            stacklevel=4,
-        )
-
-
-def _parse_dimacs_lines(text: str) -> CnfFormula:
-    """``parse_dimacs`` one line at a time: the path that names the line of
-    any fault, and warns on a header clause count that the body contradicts.
+def _parse_lines(
+    block: str,
+    lineno: int,
+    var_count: int,
+    clauses: list[Clause],
+    pending: list[int],
+    pending_line: int,
+) -> tuple[int, int]:
+    """Parse one block of body lines, the first of them line ``lineno + 1``,
+    one line at a time: append its clauses to ``clauses``, continuing the
+    clause left open in ``pending`` (begun at line ``pending_line``), and
+    leave in ``pending`` the clause still open at the block's end.  Returns
+    the line where that clause began and the block's last line number.
     """
-    var_count: int | None = None
-    clause_total: int | None = None
-    pending: list[int] = []
-    pending_line = 0
-    clauses: list[Clause] = []
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    block_lines = block.splitlines()
+    for number, raw in enumerate(block_lines, lineno + 1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
-        if line.startswith("%"):
-            break
         if line.startswith("p"):
-            if var_count is not None:
-                raise DimacsParseError("duplicate header", lineno)
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise DimacsParseError(f"malformed header {line!r}", lineno)
-            try:
-                var_count = int(parts[2])
-                clause_total = int(parts[3])
-            except ValueError:
-                raise DimacsParseError(f"malformed header {line!r}", lineno) from None
-            if var_count < 0 or clause_total < 0:
-                raise DimacsParseError(f"negative counts in header {line!r}", lineno)
-            continue
-        if var_count is None:
-            raise DimacsParseError("clause data before 'p cnf' header", lineno)
+            raise DimacsParseError("duplicate header", number)
         for token in line.split():
             try:
                 lit = int(token)
             except ValueError:
-                raise DimacsParseError(f"bad literal token {token!r}", lineno) from None
+                raise DimacsParseError(f"bad literal token {token!r}", number) from None
             if lit == 0:
                 try:
                     clauses.append(Clause(pending))
@@ -319,28 +332,19 @@ def _parse_dimacs_lines(text: str) -> CnfFormula:
                     ) from None
                 except ValueError as exc:
                     raise DimacsParseError(
-                        f"clause {len(clauses) + 1}: {exc}", lineno
+                        f"clause {len(clauses) + 1}: {exc}", number
                     ) from None
-                pending = []
+                pending.clear()
             else:
                 if abs(lit) > var_count:
                     raise DimacsParseError(
                         f"literal {lit} exceeds declared variable count {var_count}",
-                        lineno,
+                        number,
                     )
                 if not pending:
-                    pending_line = lineno
+                    pending_line = number
                 pending.append(lit)
-
-    if var_count is None:
-        raise DimacsParseError("missing 'p cnf' header")
-    if pending:
-        raise DimacsParseError(
-            f"clause {len(clauses) + 1} not terminated by 0", pending_line
-        )
-    if clause_total is not None:
-        _check_clause_total(clause_total, len(clauses))
-    return CnfFormula(tuple(clauses), var_count)
+    return pending_line, lineno + len(block_lines)
 
 
 def write_dimacs(f: CnfFormula, comments: Iterable[str] = ()) -> str:

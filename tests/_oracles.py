@@ -40,6 +40,76 @@ def reference_clause(literals) -> tuple:
     return ("ok", tuple(lit for i, lit in enumerate(lits) if lit not in lits[:i]))
 
 
+def reference_dimacs(text: str) -> tuple:
+    """What parsing the DIMACS text ``text`` gives, read line by line.
+
+    Lines are those of ``str.splitlines``, numbered from 1.  A line whose
+    first word starts with ``c`` is a comment; one whose first word starts
+    with ``%`` ends the text; one whose first word starts with ``p`` is the
+    header, ``p cnf <vars> <clauses>``, of which there is one, before any
+    literal.  Every other word is an int literal within the declared
+    variables, and a 0 ends a clause, which ``reference_clause`` builds.
+    The first fault met gives ("DimacsParseError", "line <k>: <what>"),
+    where a tautology names the line its clause began on; a missing header
+    has no line.  Otherwise the result is ("ok", variable count, clause
+    tuples, warning messages), with one warning when the header's clause
+    count differs from the clauses found.
+    """
+    def error(what: str, line: int | None = None) -> tuple:
+        return ("DimacsParseError", what if line is None else f"line {line}: {what}")
+
+    header = None
+    clauses: list[tuple] = []
+    pending: list[int] = []
+    began = 0
+    for number, raw in enumerate(text.splitlines(), 1):
+        words = raw.split()
+        if not words or words[0][0] == "c":
+            continue
+        if words[0][0] == "%":
+            break
+        if words[0][0] == "p":
+            if header is not None:
+                return error("duplicate header", number)
+            try:
+                if len(words) != 4 or words[1] != "cnf":
+                    raise ValueError
+                header = (int(words[2]), int(words[3]))
+            except ValueError:
+                return error(f"malformed header {raw.strip()!r}", number)
+            if min(header) < 0:
+                return error(f"negative counts in header {raw.strip()!r}", number)
+            continue
+        if header is None:
+            return error("clause data before 'p cnf' header", number)
+        for word in words:
+            try:
+                lit = int(word)
+            except ValueError:
+                return error(f"bad literal token {word!r}", number)
+            if lit and abs(lit) > header[0]:
+                return error(f"literal {lit} exceeds declared variable count {header[0]}", number)
+            if lit:
+                if not pending:
+                    began = number
+                pending.append(lit)
+                continue
+            kind, built = reference_clause(pending)
+            if kind == "TautologicalClauseError":
+                return error(f"clause {len(clauses) + 1} is tautological: {built}", began)
+            if kind != "ok":
+                return error(f"clause {len(clauses) + 1}: {built}", number)
+            clauses.append(built)
+            pending = []
+    if header is None:
+        return error("missing 'p cnf' header")
+    if pending:
+        return error(f"clause {len(clauses) + 1} not terminated by 0", began)
+    found = len(clauses)
+    warned = [] if header[1] == found else [f"header declares {header[1]} clauses, found {found}"]
+    return ("ok", header[0], clauses, warned)
+
+
 # ---------------------------------------------------------------------------
 # CNF model enumeration
 # ---------------------------------------------------------------------------

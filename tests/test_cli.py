@@ -316,6 +316,31 @@ class TestGrowth:
         assert proc.stdout == ""
         assert proc.stderr.startswith("cdfsat: error: need at least 3 measured samples")
 
+    @pytest.mark.parametrize("args, message", [
+        (("--k", "3", "--density", "1/2", "--n", "1,2,3"),
+         "cannot pick 3 distinct variables out of 2"),
+        (("--k", "2", "--density", "2/3", "--n", "1,2,3", "--disjoint"),
+         "disjoint mode needs m*k <= n, got m=2 k=2 n=3"),
+    ], ids=["k past n", "disjoint"])
+    def test_later_size_that_cannot_be_drawn_exits_1(self, args, message):
+        # n=1 draws no clause; only n=2 or n=3 cannot be drawn
+        proc = run_cli("growth", *args)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"cdfsat: error: {message}\n"
+
+    def test_each_member_drawn_once(self, monkeypatch, capsys):
+        drawn = []
+        draw = cli.generate_random_ksat
+
+        def recording(n, *args, **kwargs):
+            drawn.append(n)
+            return draw(n, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "generate_random_ksat", recording)
+        assert run_main(["growth", "--k", "3", "--n", "4,5,6", "--density", "1"]) == 0
+        assert drawn == [4, 5, 6]
+
     @pytest.mark.parametrize("density", ["1e400", "100001"])
     def test_clause_count_past_limit_exits_1(self, density):
         # without the limit, 1e400 draws floor(density * n) clauses until

@@ -26,7 +26,7 @@ from cdfsat.formula import (
     write_dimacs,
 )
 
-from _oracles import partial_formula_satisfied, reference_clause
+from _oracles import partial_formula_satisfied, reference_clause, reference_dimacs
 
 
 class TestClause:
@@ -205,6 +205,10 @@ class TestDimacs:
     def test_missing_header(self):
         with pytest.raises(DimacsParseError):
             parse_dimacs("1 2 0\n")
+        # a % line before the header ends the data
+        for text in ("%\np cnf 1 0", " %\np cnf 1 1\n1 0", "c\x0c%\np cnf 1 0\n"):
+            with pytest.raises(DimacsParseError, match="^missing 'p cnf' header$"):
+                parse_dimacs(text)
 
     def test_negative_header_count_is_a_parse_error(self):
         for text in ("p cnf -1 0\n", "p cnf 2 -1\n"):
@@ -220,6 +224,10 @@ class TestDimacs:
         with pytest.raises(DimacsParseError) as exc:
             parse_dimacs("p cnf 2 1\n1 x 0\n")
         assert exc.value.line == 2
+
+    def test_duplicate_header_reports_line(self):
+        with pytest.raises(DimacsParseError, match="^line 4: duplicate header$"):
+            parse_dimacs("c x\np cnf 2 1\n1 0\n p cnf 2 1\n")
 
     def test_tautological_clause_named_by_ordinal(self):
         with pytest.raises(DimacsParseError) as exc:
@@ -250,9 +258,11 @@ class TestDimacs:
         # blank lines, and +1 and 007 tokens, in blocks as small as 1
         # character, with at most one fault or oddity of the kinds in
         # `oddity`: a repeated or complementary literal, a zero or an
-        # out-of-range literal in a clause, a comment line in the body, a %
-        # trailer, an unterminated clause, a header count off by one, a
-        # malformed header, or a line break that only splitlines sees
+        # out-of-range literal in a clause, a comment line in the body (with
+        # or without a %), a % trailer, an unterminated clause, a header
+        # count off by one, a malformed header, or a line break that only
+        # splitlines sees.  The references are the oracle, and a parse that
+        # reads the whole body as one block and sends it to the line step.
         oddity = data.draw(st.sampled_from((
             None, None, None, None, "repeat", "zero", "range", "comment", "trailer",
             "unterminated", "count", "header", "hidden line",
@@ -272,7 +282,7 @@ class TestDimacs:
             else:
                 fault = data.draw(st.sampled_from((n + 1, -n - 1)))
             target.insert(data.draw(st.integers(0, len(target))), fault)
-        comment = ("\nc x\n",) if oddity == "comment" else ()
+        comment = ("\nc x\n", "\nc 5% x\n") if oddity == "comment" else ()
         gap = st.sampled_from((" ", " ", "\t", "\n", "\r\n", "\x0c", "\x0b", *comment))
         between = st.sampled_from(("\n", "\n", " ", "\r\n", "\n\n", *comment))
 
@@ -289,7 +299,7 @@ class TestDimacs:
         declared = len(clause_lists) + sum(cl.count(0) for cl in clause_lists)
         if oddity == "count":
             declared += data.draw(st.sampled_from((-1, 1)))
-        head = data.draw(st.sampled_from(("", "", "c head\n", "\n \n", "c a\r\n")))
+        head = data.draw(st.sampled_from(("", "", "c head\n", "\n \n", "c a\r\n", "c 9%\n")))
         if oddity == "hidden line":
             # a line break other than \n hides "1 0" in a comment from a
             # reader that splits at \n alone
@@ -299,6 +309,7 @@ class TestDimacs:
             header = data.draw(st.sampled_from((
                 f"pp cnf {n} {declared}", f"1 cnf {n} {declared}", f"p cnf {n}",
                 f"p cnf -{n} {declared}", f"p cnf {n} {declared} 0", f"p cnf x {declared}",
+                f" %\np cnf {n} {declared}", f"c\x0c%\np cnf {n} {declared}",
             )))
         tail = data.draw(st.sampled_from(("\n", "", "\r\n")))
         if oddity == "trailer":
@@ -308,23 +319,44 @@ class TestDimacs:
         text = f"{head}{header}{body}{tail}"
         block_chars = data.draw(st.sampled_from((1, 4, 16, 1 << 16)))
 
-        def outcome(parse):
+        def outcome():
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 try:
-                    f = parse(text)
+                    f = parse_dimacs(text)
                 except ValueError as exc:
                     return (type(exc).__name__, str(exc))
             assert all(type(cl) is Clause for cl in f.clauses)
-            return ("ok", f, [(w.category, str(w.message)) for w in caught])
+            assert all(w.category is DimacsWarning for w in caught)
+            return ("ok", f.variable_count, list(f.clauses), [str(w.message) for w in caught])
 
         with mock.patch.object(formula_module, "_BLOCK_CHARS", block_chars):
-            assert outcome(parse_dimacs) == outcome(formula_module._parse_dimacs_lines)
+            got = outcome()
+        with mock.patch.object(formula_module, "_BLOCK_CHARS", len(text) + 1), \
+                mock.patch.object(formula_module, "_clean_block_clauses", lambda block, n: None):
+            assert got == outcome()
+        assert got == reference_dimacs(text)
 
-    def test_write_dimacs_output_takes_bulk_path(self, monkeypatch):
-        def line_path(text):
-            raise AssertionError("parse_dimacs fell back to the line-by-line path")
+    @pytest.fixture(scope="class")
+    def six_blocks(self):
+        # 21300 clauses, 380 KB: six blocks
+        f = generate_random_ksat(5000, 21300, 3, seed=1)
+        return f, write_dimacs(f)
 
+    @pytest.fixture
+    def line_steps(self, monkeypatch):
+        """The blocks that ``parse_dimacs`` sends to the line step."""
+        blocks = []
+        line_step = formula_module._parse_lines
+
+        def recording(block, *args):
+            blocks.append(block)
+            return line_step(block, *args)
+
+        monkeypatch.setattr(formula_module, "_parse_lines", recording)
+        return blocks
+
+    def test_write_dimacs_output_takes_bulk_path(self, six_blocks, line_steps):
         enc = encode_hamiltonian_cycle(graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]))
         built = [
             (formula([], 0), ()),
@@ -332,23 +364,16 @@ class TestDimacs:
             (formula([[-3, 1, 2], [2]], 9), ()),
             (generate_random_ksat(40, 170, 3, seed=4), ()),
             (enc.formula, enc.comment_lines()),
-            # 21300 clauses, 380 KB: six blocks
-            (generate_random_ksat(5000, 21300, 3, seed=1), ()),
+            (six_blocks[0], ()),
         ]
-        monkeypatch.setattr(formula_module, "_parse_dimacs_lines", line_path)
         for f, comments in built:
             assert parse_dimacs(write_dimacs(f, comments)) == f
+        assert line_steps == []
 
-    def test_trailer_and_count_mismatch_take_bulk_path(self, monkeypatch):
+    def test_trailer_and_count_mismatch_take_bulk_path(self, six_blocks, line_steps):
         # valid forms that a reader of SATLIB files or of a hand-edited
-        # header meets; falling back would parse them twice
-        def line_path(text):
-            raise AssertionError("parse_dimacs fell back to the line-by-line path")
-
-        monkeypatch.setattr(formula_module, "_parse_dimacs_lines", line_path)
-        # 21300 clauses: six blocks
-        for f in (formula([], 0), formula([[1, -2], [2]], 2),
-                  generate_random_ksat(5000, 21300, 3, seed=1)):
+        # header meets; no block of them needs the line step
+        for f in (formula([], 0), formula([[1, -2], [2]], 2), six_blocks[0]):
             text = write_dimacs(f)
             # the last trailer is longer than a block
             for trailer in ("%\n0\n", "%", " %\r\n0\n\n", "\x0c%\n1 2 x\n", "%\n" + "0\n" * 40000):
@@ -362,6 +387,70 @@ class TestDimacs:
                 with pytest.warns(DimacsWarning, match=message) as caught:
                     assert parse_dimacs(wrong + "%\n0\n") == f
                 assert len(caught) == 1 and caught[0].filename == __file__
+        assert line_steps == []
+
+    def test_percent_in_a_comment_is_not_a_trailer(self, six_blocks, line_steps):
+        # a % that does not start its line leaves the body whole: before the
+        # header no block needs the line step, and after it only the block
+        # that holds the comment line does
+        f, text = six_blocks
+        assert parse_dimacs("c 100% sure\n" + text) == f
+        assert line_steps == []
+        at = text.index("\n", 3 * (1 << 16)) + 1
+        assert parse_dimacs(f"{text[:at]}c 50% done\n{text[at:]}") == f
+        assert len(line_steps) == 1 and "c 50% done\n" in line_steps[0]
+        assert parse_dimacs("p cnf 2 1\nc 50%\n1 0\n %c\n-1 2 0\n") == formula([[1]], 2)
+
+    @pytest.mark.parametrize("line_break", ["\x0c", "\r", "\x0b", "\x85", "\u2028"])
+    def test_percent_after_a_token_is_a_bad_token(self, line_break):
+        with pytest.raises(DimacsParseError, match="^line 3: bad literal token '%'$"):
+            parse_dimacs("p cnf 2 2\n1 0\n1 2 %\n0\n")
+        # unless a line break comes between them
+        assert parse_dimacs(f"p cnf 2 1\n1 0{line_break}\t %\n0\n") == formula([[1]], 2)
+
+    def test_line_breaks_are_those_of_splitlines(self):
+        breaks = {c for c in map(chr, range(0x110000)) if len(f"a{c}b".splitlines()) == 2}
+        assert breaks == set(formula_module._LINE_BREAKS)
+
+    def test_percent_comments_within_budget(self):
+        # finding the % line must stay linear: a search back to the last \n
+        # from each % takes about 9 s on this text (CR line ends only) on a
+        # 2-vCPU host
+        text = "p cnf 1 1\r" + "c 50% done\r" * 20000 + "1 0\r"
+        start = time.perf_counter()
+        assert parse_dimacs(text) == formula([[1]], 1)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.5, f"budget exceeded: {elapsed:.2f}s >= 0.5s"
+
+    @pytest.mark.parametrize("tail", ["c late\n{last}", "{first} {last}"],
+                             ids=["comment", "repeated literal"])
+    def test_late_oddity_costs_one_block(self, six_blocks, line_steps, tail):
+        f, text = six_blocks
+        head, last = text[:-1].rsplit("\n", 1)
+        tail = tail.format(first=last.split()[0], last=last) + "\n"
+        assert parse_dimacs(f"{head}\n{tail}") == f
+        assert len(line_steps) == 1 and line_steps[0].endswith(tail)
+
+    @pytest.mark.parametrize("early_break", ["\n", "\x0c", "\r"], ids=["LF", "FF", "CR"])
+    def test_late_fault_names_the_line_of_a_one_block_parse(
+        self, six_blocks, line_steps, early_break
+    ):
+        # the first block's extra line break sits inside a clause, where the
+        # bulk step reads it as a space; the line numbers after it count it
+        f, text = six_blocks
+        head, last = text[:-1].rsplit("\n", 1)
+        space = head.index(" ", head.index("\n"))
+        head = head[:space] + early_break + head[space + 1 :]
+        text = f"{head}\n{-int(last.split()[0])} {last}\n"
+        message = f"^line {f.clause_count + 2}: clause {f.clause_count} is tautological"
+        with pytest.raises(DimacsParseError, match=message) as blocks:
+            parse_dimacs(text)
+        assert len(line_steps) == 1
+        with mock.patch.object(formula_module, "_BLOCK_CHARS", len(text) + 1), \
+                pytest.raises(DimacsParseError) as one_block:
+            parse_dimacs(text)
+        assert str(blocks.value) == str(one_block.value)
+        assert blocks.value.line == one_block.value.line
 
     @settings(max_examples=50)
     @given(

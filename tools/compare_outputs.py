@@ -23,8 +23,9 @@ graph are checked too (with the default heuristic only).  Then comes
 numbers and exit codes are compared as well.  Then ``analyze -`` and
 ``export-dot trace -`` run on each of the VALID_DIMACS texts, which
 ``parse_dimacs`` accepts although they are not in the form that
-``write_dimacs`` writes, and last come the PROVE_COMMANDS, so that every command that writes a JSON
-report is compared: 2450 commands in all at seeds 7 and 3.
+``write_dimacs`` writes, and last come the PROVE_COMMANDS, so that every
+command that writes a JSON report is compared: 2455 commands in all at
+seeds 7 and 3.
 Each checkout then runs all of them in-process through its own
 ``cdfsat.cli.main``, in one subprocess per checkout, with stdin, stdout
 and stderr held in memory; a piped command reads the stdout of its
@@ -75,11 +76,16 @@ MALFORMED_DIMACS = (
     ("out-of-range literal, then bad token", "p cnf 2 1\n1 3 x 0\n"),
     ("tautology, then out-of-range literal", "p cnf 2 1\n1 -1 5 0\n"),
     ("lone 0, then bad token", "p cnf 2 1\n0 z\n"),
+    # 84 KB of clauses: the bad token lies in the second 64 KiB block, and a
+    # form feed inside the first clause adds a line that a count of \n misses
+    ("bad token in the second block, after a form feed",
+     "p cnf 2 12002\n1\x0c-2 0\n" + "1 -2 0\n" * 12000 + "2 x 0\n"),
 )
-# (label, DIMACS text): each is accepted, all but the SATLIB trailer only
-# line by line.  A header
-# whose clause count disagrees with the body is left out: a checkout whose
-# CLI lets Python print that warning writes its own source path to stderr.
+# (label, DIMACS text): each is accepted, and in all but the SATLIB trailer
+# the bulk step of parse_dimacs refuses a block, which goes to the line step;
+# a % that does not start its line is no trailer.  A header whose clause
+# count disagrees with the body is left out: a checkout whose CLI lets
+# Python print that warning writes its own source path to stderr.
 VALID_DIMACS = (
     ("comment between clauses", "p cnf 3 2\n1 -2 0\nc a comment\n2 3 0\n"),
     ("comment inside a clause", "p cnf 3 1\n1\nc a comment\n-2 3 0\n"),
@@ -91,6 +97,11 @@ VALID_DIMACS = (
     ("form feed and vertical tab", "p cnf 3 2\n1 -2 0\x0cc x\n2 3\x0b0\n"),
     ("blank and comment lines in the body", "\np cnf 2 2\n\nc x\n\n1 -2 0\n-1 0\n\n"),
     ("empty body but a comment", "p cnf 2 0\nc nothing\n"),
+    ("comments holding %", "c 100% sure\np cnf 3 2\n1 -2 0\nc 50% done\n2 3 0\n"),
+    # 144 KB over three variables: the first 64 KiB block ends inside a
+    # clause, and a comment line comes before the last clause
+    ("clause across the first block boundary, late comment",
+     "p cnf 3 16002\n-3 0\n" + "1 -2\n3 0\n" * 16000 + "c late\n2 3 0\n"),
 )
 # prove argv and stdin (a derivation read from "-"); the truth table is
 # listed up to 8 atoms, and past TRUTH_TABLE_ATOM_CAP the command exits 2
