@@ -195,8 +195,9 @@ class GrowthFit:
     implied per-variable branching base is 2^rate; polynomial_degree is the
     slope against log2(n).  preferred_model is whichever transform left the
     smaller sum of squared residuals.  failed_n lists sample sizes that
-    could not be measured (over the enumeration cap with no closed form, or
-    an unsatisfiable member, whose empty image has no log).
+    could not be measured (a component of two or more clauses over more
+    variables than the enumeration cap, or an unsatisfiable member, whose
+    empty image has no log).
     """
 
     samples: tuple[GrowthSample, ...]
@@ -282,10 +283,10 @@ def measure_growth(
     """Measure exact image sizes of family(n) over n_values and fit them.
 
     n_values must be strictly increasing with at least 3 entries.  Sizes
-    beyond the enumeration cap still measure exactly when the family member
-    is variable-disjoint (closed-form product); otherwise that n lands in
-    failed_n, as does an unsatisfiable member, and the fit proceeds on the
-    remaining samples.  Fewer than 3 remaining samples raise ValueError:
+    beyond the enumeration cap still measure exactly when every component
+    of two or more clauses of the family member fits the cap (see
+    ``formula_image``); otherwise that n lands in failed_n, as does an
+    unsatisfiable member, and the fit proceeds on the remaining samples.  Fewer than 3 remaining samples raise ValueError:
     two points fit both models exactly, and the tie would always go to
     Exponential.
     """

@@ -6,7 +6,8 @@ deterministic byte for byte: reports carry no timestamps, all collections
 are emitted in a canonical order, and JSON keys are sorted.
 
 Exit codes: 0 success, 1 bad usage or unreadable input, 2 partial result
-(some requested quantity was intractable under the configured cap).
+(a component of two or more clauses has more variables than the configured
+cap, so the count is intractable).
 
 Configuration precedence is flag over environment over default; the
 environment knobs are CDFSAT_CAP (enumeration cap) and CDFSAT_THETA
@@ -51,17 +52,6 @@ from .logic import (
     implication_graph_to_dot,
     solve_2sat,
     trace_to_dot,
-)
-from .proofs import (
-    TRUTH_TABLE_ATOM_CAP,
-    atoms,
-    check_derivation,
-    eval_truth_table,
-    format_derivation,
-    parse_derivation_json,
-    parse_proposition,
-    semantic_cost,
-    to_text,
 )
 from .semantics import (
     ENUMERATION_CAP,
@@ -449,6 +439,19 @@ def _cmd_euler(args: argparse.Namespace) -> int:
 
 
 def _cmd_prove(args: argparse.Namespace) -> int:
+    # imported here, so that no other subcommand compiles or runs proofs
+    from .proofs import (
+        TRUTH_TABLE_ATOM_CAP,
+        atoms,
+        check_derivation,
+        eval_truth_table,
+        format_derivation,
+        parse_derivation_json,
+        parse_proposition,
+        semantic_cost,
+        to_text,
+    )
+
     goal = parse_proposition(args.formula)
     names = atoms(goal)
 
@@ -536,7 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full report for one DIMACS CNF file")
     p.add_argument("input", help="DIMACS CNF path, or - for stdin")
-    p.add_argument("--cap", type=int, default=None, help="enumeration cap (variables)")
+    p.add_argument("--cap", type=int, default=None,
+                   help="enumeration cap: most variables of one swept component")
     p.add_argument("--theta", type=float, default=None, help="classification threshold")
     p.add_argument("--heuristic", choices=HEURISTICS, default="lowest-index")
     p.add_argument("--quiet", action="store_true", help="suppress the stderr summary")
@@ -557,7 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="draw clauses over pairwise-disjoint variables",
     )
-    p.add_argument("--cap", type=int, default=None, help="enumeration cap (variables)")
+    p.add_argument("--cap", type=int, default=None,
+                   help="enumeration cap: most variables of one swept component")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--quiet", action="store_true", help="suppress the stderr summary")
     p.set_defaults(func=_cmd_growth)

@@ -7,32 +7,41 @@ mask order is exactly lexicographic order by variable index with false
 before true, and that is the canonical enumeration and export order.
 
 Counting is exact everywhere, and exactly one route counts each formula.
-The exhaustive sweep runs up to ``enumeration_cap`` variables (default 26)
-and is the only route that materializes models.  When the models are not
-materialized and the clause variable sets are pairwise disjoint, the
-count comes in closed form as prod(2^k_i - 1) * 2^(free variables), at
-any n, since each clause excludes exactly its one all-false local
-assignment.  Any other formula past the cap is intractable.
+When n fits both ``enumeration_cap`` (default 26) and
+``materialization_cap``, the exhaustive sweep counts the whole formula and
+materializes its models; no other route materializes.  Otherwise the
+formula splits into connected components of the shared-variable graph, and
+its count is the product of theirs, times 2^(variables in no clause): the
+semantic image of syntactically independent parts is the product of their
+images.  A one-clause component of k variables counts 2^k - 1 at any size,
+since the clause excludes exactly its one all-false local assignment.
+Every other component is swept over its own variables, so the cap bounds
+the variables of a component of two or more clauses, not n; a formula with
+a larger one is intractable.
 
 The exhaustive sweep is bit-sliced over Python ints.  Assignment index
 a = (prefix << L) + bit, with variable v at bit n - v of a, so the lowest
 L = min(n, SWEEP_BITS) bits hold the highest-indexed variables.  Their
-truth columns are built once per call by ``truth_columns``, one int of
-2^L bits per column, in both polarities, and every clause ORs its low
-columns once.  The sweep then runs one chunk per setting of the other
-n - L variables.  Under a chunk's prefix every clause with a high literal
+truth columns are built once per L by ``truth_columns``, one int of 2^L
+bits per column, in both polarities, and every clause ORs its low columns
+once.  The sweep then runs one chunk per setting of the other n - L
+variables.  Under a chunk's prefix every clause with a high literal
 resolves first: a true high literal drops it, and otherwise its OR of low
-columns (0 when it has none) is ANDed into the chunk's int.  Clauses with
-no high literal are ANDed once into the int every chunk starts from.  One
-int operation thus checks a clause against 2^L assignments;
-``int.bit_count`` counts the models, and materialized models are the set
-bits in ascending order.
+columns (0 when it has none) is ANDed into the chunk's int; the clauses
+with no low literal come first, and the chunk stops once its int is 0.
+Clauses with no high literal are ANDed once into the int every chunk
+starts from.  One int operation thus checks a clause against 2^L
+assignments; ``int.bit_count`` counts the models, and materialized models
+are the set bits in ascending order, picked by ``itertools.compress``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain, compress
+from typing import Sequence
 
 from .formula import Clause, CnfFormula
 
@@ -45,6 +54,8 @@ MATERIALIZATION_CAP = 20
 # the sweep checks the lowest SWEEP_BITS assignment bits in one int per
 # chunk and fixes the variables above them once per chunk
 SWEEP_BITS = 15
+# maps the digits of a binary string to the bytes 0 and 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 ENUMERATED = "enumerated"
 COUNT_ONLY = "count-only"
@@ -60,14 +71,17 @@ def check_enumeration_cap(cap: int) -> int:
 
 
 class IntractableError(Exception):
-    """Exact enumeration was requested beyond the configured cap."""
+    """A component of two or more clauses has more variables than the cap.
+
+    ``variable_count`` is the variable count of the whole formula.
+    """
 
     def __init__(self, variable_count: int, cap: int):
         self.variable_count = variable_count
         self.cap = cap
         super().__init__(
-            f"exhaustive enumeration over {variable_count} variables exceeds "
-            f"the cap of {cap} and no closed-form route applies"
+            f"a component of two or more clauses of a {variable_count}-variable "
+            f"formula exceeds the cap of {cap} variables"
         )
 
 
@@ -148,20 +162,30 @@ def truth_columns(bits: int) -> tuple[list[int], int]:
     return columns, ones
 
 
-def _sweep(f: CnfFormula, materialize: bool) -> tuple[int, tuple[int, ...] | None]:
-    """Exact count, and the ascending models if asked, by the bit-sliced sweep.
+@lru_cache(maxsize=None)
+def _chunk_columns(bits: int) -> tuple[tuple[int, ...], int]:
+    """``truth_columns(bits)``, built once per chunk width (at most
+    SWEEP_BITS + 1 of them), since a formula may need one sweep per
+    component."""
+    columns, ones = truth_columns(bits)
+    return tuple(columns), ones
 
-    See the module docstring for the layout.  Clauses with no high literal
-    resolve the same way under every prefix, so they are ANDed once into the
-    int that each chunk starts from.
+
+def _sweep(
+    clauses: Sequence[tuple[int, ...]], n: int, materialize: bool
+) -> tuple[int, tuple[int, ...] | None]:
+    """Exact count over variables 1..n, and the ascending models if asked.
+
+    See the module docstring for the layout.  Clauses with no low literal
+    empty a chunk outright when their high literals are all false, so they
+    are checked first.
     """
-    n = f.variable_count
     low = min(n, SWEEP_BITS)
-    columns, base = truth_columns(low)
+    columns, base = _chunk_columns(low)
     # each clause with a high literal: (mask, falsifying pattern) of its high
     # literals over the chunk prefix, and the OR of its low columns
     split: list[tuple[int, int, int]] = []
-    for cl in f.clauses:
+    for cl in clauses:
         mask = pattern = column = 0
         for lit in cl:
             bit = n - abs(lit)
@@ -175,6 +199,7 @@ def _sweep(f: CnfFormula, materialize: bool) -> tuple[int, tuple[int, ...] | Non
             split.append((mask, pattern, column))
         else:
             base &= column
+    split.sort(key=lambda entry: entry[2] != 0)
     count = 0
     models: list[int] = []
     for prefix in range(1 << (n - low)):
@@ -182,15 +207,75 @@ def _sweep(f: CnfFormula, materialize: bool) -> tuple[int, tuple[int, ...] | Non
         for mask, pattern, column in split:
             if (prefix & mask) == pattern:  # every high literal is false
                 acc &= column
-        count += acc.bit_count()
-        if materialize and acc:
-            offset = prefix << low
-            bits = f"{acc:b}"[::-1]  # bits[a] is bit a of acc
-            a = bits.find("1")
-            while a >= 0:
-                models.append(offset + a)
-                a = bits.find("1", a + 1)
+                if not acc:
+                    break
+        if acc:
+            count += acc.bit_count()
+            if materialize:
+                # bit a of acc selects assignment offset + a
+                offset = prefix << low
+                chosen = f"{acc:b}"[::-1].encode().translate(_BIT_BYTES)
+                models += compress(range(offset, offset + len(chosen)), chosen)
     return count, tuple(models) if materialize else None
+
+
+def _component_count(f: CnfFormula, cap: int) -> int:
+    """Exact count as the product of the counts of the connected components.
+
+    Variables are joined by union-find (union by size, path halving), clause
+    by clause, and each root keeps the clauses of its component.  A
+    component of two or more clauses past ``cap`` variables raises
+    IntractableError at once, before any sweep.
+    """
+    n = f.variable_count
+    parent = list(range(n + 1))
+    size = [1] * (n + 1)  # variables under each root
+    components: dict[int, list[tuple[int, ...]]] = {}  # root: its clauses
+    for cl in f.clauses:
+        root = 0
+        for lit in cl:
+            v = lit if lit > 0 else -lit
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if v != root:
+                if not root:
+                    root = v
+                    continue
+                if size[v] > size[root]:
+                    root, v = v, root
+                parent[v] = root
+                size[root] += size[v]
+                if v in components:
+                    if root in components:
+                        components[root] += components.pop(v)
+                    else:
+                        components[root] = components.pop(v)
+        group = components.get(root)
+        if group is None:
+            components[root] = [cl]
+        else:
+            group.append(cl)
+            if size[root] > cap:
+                raise IntractableError(n, cap)
+    count = 1 << (n - sum(size[root] for root in components))
+    local = [0] * (2 * n + 1)
+    for root, group in components.items():
+        k = size[root]
+        if len(group) == 1:
+            count *= (1 << k) - 1
+            continue
+        if k == n:  # the one component, holding every variable
+            return _sweep(f.clauses, n, materialize=False)[0]
+        # local[lit] is the component's literal over variables 1..k (a
+        # negative lit indexes from the end of the list, so both fit)
+        for i, v in enumerate(dict.fromkeys(map(abs, chain.from_iterable(group))), 1):
+            local[v] = i
+            local[-v] = -i
+        renumbered = [tuple(map(local.__getitem__, cl)) for cl in group]
+        count *= _sweep(renumbered, k, materialize=False)[0]
+        if not count:
+            break
+    return count
 
 
 def formula_image(
@@ -200,28 +285,20 @@ def formula_image(
 ) -> SemanticImage:
     """Exact satisfying-assignment image of a formula over all its variables.
 
-    Exactly one route runs, the first that applies: the sweep with
-    materialized assignments when n fits both caps; the closed form
-    prod(2^k_i - 1) * 2^(free variables) when the clause variable sets are
-    pairwise disjoint (any n); the count-only sweep up to
-    ``enumeration_cap``.  Beyond that, IntractableError.  A cap outside
-    0..MAX_ENUMERATION_CAP raises ValueError.
+    Exactly one route runs.  When n fits both caps, the sweep counts the
+    formula and materializes its assignments.  Otherwise the count is the
+    product over connected components (see the module docstring), with no
+    assignments; IntractableError(n, enumeration_cap) when a component of
+    two or more clauses has more than ``enumeration_cap`` variables.  A cap
+    outside 0..MAX_ENUMERATION_CAP raises ValueError.
     """
     check_enumeration_cap(enumeration_cap)
     n = f.variable_count
     scope = tuple(range(1, n + 1))
     if n <= enumeration_cap and n <= materialization_cap:
-        count, assignments = _sweep(f, materialize=True)
+        count, assignments = _sweep(f.clauses, n, materialize=True)
         return SemanticImage(scope, count, assignments)
-    if clauses_variable_disjoint(f):
-        count = 1 << (n - sum(map(len, f.clauses)))
-        for cl in f.clauses:
-            count *= (1 << len(cl)) - 1
-        return SemanticImage(scope, count, None)
-    if n <= enumeration_cap:
-        count, _ = _sweep(f, materialize=False)
-        return SemanticImage(scope, count, None)
-    raise IntractableError(n, enumeration_cap)
+    return SemanticImage(scope, _component_count(f, enumeration_cap), None)
 
 
 def log2_count(count: int) -> float:

@@ -184,6 +184,41 @@ def fast_satisfiable(clause_lists, n: int) -> bool:
     return fast_count_models(clause_lists, n) > 0
 
 
+def components(clause_lists, n: int) -> list[tuple[list[int], list]]:
+    """(variables, clauses) of each connected component of the
+    shared-variable graph that holds a clause, by a plain union-find."""
+    parent = list(range(n + 1))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for cl in clause_lists:
+        for lit in cl[1:]:
+            parent[find(abs(lit))] = find(abs(cl[0]))
+    groups: dict[int, tuple[set, list]] = {}
+    for cl in clause_lists:
+        variables, members = groups.setdefault(find(abs(cl[0])), (set(), []))
+        variables.update(abs(lit) for lit in cl)
+        members.append(cl)
+    return [(sorted(variables), members) for variables, members in groups.values()]
+
+
+def component_count(clause_lists, n: int) -> int:
+    """Model count as the product of component counts, each by
+    fast_count_models over the component renumbered 1..k, times two for
+    every variable in no clause."""
+    parts = components(clause_lists, n)
+    count = 1 << (n - sum(len(variables) for variables, _ in parts))
+    for variables, members in parts:
+        index = {v: i for i, v in enumerate(variables, 1)}
+        renumbered = [[index[abs(lit)] if lit > 0 else -index[abs(lit)] for lit in cl]
+                      for cl in members]
+        count *= fast_count_models(renumbered, len(variables))
+    return count
+
+
 # ---------------------------------------------------------------------------
 # Propagation fixpoints
 # ---------------------------------------------------------------------------

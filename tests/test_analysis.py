@@ -266,8 +266,8 @@ class TestMeasureGrowth:
 
     def test_intractable_member_lands_in_failed(self):
         def family(n):
-            if n > 6:
-                return formula([[1, 2], [2, 3]], n)  # overlap: no product route
+            if n > 6:  # one n-variable chain: a component past the cap
+                return formula([[i, i + 1] for i in range(1, n)], n)
             return formula([], n)
 
         fit = measure_growth(family, [4, 5, 6, 8], enumeration_cap=6)
@@ -281,8 +281,8 @@ class TestMeasureGrowth:
     def test_two_surviving_samples_raise(self):
         # two points would fit both models exactly and tie to Exponential
         def family(n):
-            if n == 8:
-                return formula([[1, 2], [2, 3]], n)  # overlap past the cap
+            if n == 8:  # one 8-variable chain: a component past the cap
+                return formula([[i, i + 1] for i in range(1, n)], n)
             return formula([], n)
 
         with pytest.raises(ValueError, match="at least 3 measured samples to fit growth, got 2"):

@@ -112,8 +112,8 @@ class TestAnalyze:
                 assert needle not in key
 
     def test_intractable_exits_2(self, tmp_path):
-        path = tmp_path / "big.cnf"
-        path.write_text("p cnf 30 2\n1 2 3 0\n3 4 5 0\n")
+        path = tmp_path / "big.cnf"  # one 30-variable chain: a component past the cap
+        path.write_text("p cnf 30 29\n" + "".join(f"{i} {i + 1} 0\n" for i in range(1, 30)))
         proc = run_cli("analyze", str(path), "--quiet")
         assert proc.returncode == 2
         report = json.loads(proc.stdout)
@@ -231,8 +231,8 @@ class TestConfigPrecedence:
         assert "Traceback" not in proc.stderr
 
     def test_cap_at_mask_width_accepted(self, tmp_path):
-        path = tmp_path / "seventy.cnf"
-        path.write_text("p cnf 70 3\n1 70 0\n1 -70 0\n2 3 0\n")
+        path = tmp_path / "seventy.cnf"  # one 70-variable chain, past the cap of 63
+        path.write_text("p cnf 70 69\n" + "".join(f"{i} {i + 1} 0\n" for i in range(1, 70)))
         proc = run_cli("analyze", str(path), "--quiet", "--cap", "63")
         assert proc.returncode == 2
         assert json.loads(proc.stdout)["semantics"]["cap"] == 63

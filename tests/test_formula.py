@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import time
 import warnings
 from fractions import Fraction
@@ -129,6 +130,24 @@ class TestCnfFormula:
             CnfFormula(((1, 2), lits), 2)
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("lits", [(1, 0), (2, -1, -2), (), (True, -2), (1, -2.0)],
+                             ids=["zero", "tautology", "empty", "bool", "float"])
+    @pytest.mark.parametrize("kind", [tuple, list])
+    def test_bulk_check_raises_the_clause_error(self, lits, kind):
+        # the bad clause sits between clean ones, so the bulk check sees it
+        # among others, as it does in the clause lists of formula()
+        with pytest.raises(ValueError) as want:
+            Clause(lits)
+        clauses = tuple(kind(cl) for cl in ((1, 2), lits, (-2,)))
+        with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+            CnfFormula(clauses, 2)
+
+    @pytest.mark.parametrize("kind", [tuple, list, iter])
+    def test_bulk_check_dedupes_as_clause_does(self, kind):
+        f = CnfFormula(tuple(kind(cl) for cl in ((1, -2), (3, 1, 3, -2, 1), (-3,))), 3)
+        assert f.clauses == ((1, -2), (3, 1, -2), (-3,))
+        assert all(type(cl) is Clause for cl in f.clauses)
 
     def test_every_builder_hands_clauses_to_the_gate(self):
         g = graph(4, [(0, 1), (1, 2), (2, 3)])

@@ -104,6 +104,23 @@ def test_package_runs_without_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+_PROOFS_ON_DEMAND = """
+import contextlib, io, sys
+import cdfsat.cli
+assert "cdfsat.proofs" not in sys.modules, "importing cdfsat.cli imported proofs"
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    assert cdfsat.cli.main(["prove", "A -> (B -> A)", "--quiet"]) == 0
+assert '"tautology": true' in out.getvalue()
+"""
+
+
+def test_cli_imports_proofs_only_for_prove():
+    # every other subcommand skips compiling and running cdfsat.proofs
+    proc = subprocess.run([sys.executable, "-c", _PROOFS_ON_DEMAND],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_benchmark_tracer_installs_and_counts(monkeypatch, capsys):
     # perfbench/tracing.py imports package members and wraps others by the
     # module attributes their callers look them up through, so a deleted or

@@ -12,6 +12,7 @@ from cdfsat.formula import clause, formula, generate_random_ksat
 from cdfsat.semantics import (
     COUNT_ONLY,
     ENUMERATED,
+    ENUMERATION_CAP,
     MAX_ENUMERATION_CAP,
     SWEEP_BITS,
     IntractableError,
@@ -21,7 +22,7 @@ from cdfsat.semantics import (
     log2_count,
 )
 
-from _oracles import count_models, fast_count_models, model_masks
+from _oracles import component_count, components, count_models, fast_count_models, model_masks
 
 
 def random_formulas(max_n=8, max_m=12, ks=(1, 2, 3)):
@@ -72,6 +73,37 @@ def disjoint_clauses(draw, max_n=16):
         signs = draw(st.lists(st.booleans(), min_size=width, max_size=width))
         lists.append([v if s else -v for v, s in zip(order[used:used + width], signs)])
         used += width
+    return lists, n
+
+
+@st.composite
+def overlapping_clauses(draw, max_n=20):
+    """Strategy: (clause_lists, n), up to 2n clauses of widths 1..3 over
+    variables drawn from 1..n, so that clauses share variables."""
+    n = draw(st.integers(1, max_n))
+    clause = st.lists(st.integers(1, n), min_size=1, max_size=min(3, n), unique=True).flatmap(
+        lambda vs: st.tuples(*[st.sampled_from([v, -v]) for v in vs]))
+    return [list(cl) for cl in draw(st.lists(clause, max_size=2 * n))], n
+
+
+@st.composite
+def blocks_past_the_cap(draw, max_n=400):
+    """Strategy: (clause_lists, n) with n past the default cap, made of up
+    to six variable-disjoint blocks of 1..18 variables, scattered over
+    1..n; each block holds up to 2 clauses per variable, of widths 1..3."""
+    n = draw(st.integers(ENUMERATION_CAP + 1, max_n))
+    sizes = draw(st.lists(st.integers(1, 18), max_size=6))
+    order = draw(st.permutations(range(1, n + 1)))
+    lists, used = [], 0
+    for size in sizes:
+        if used + size > n:
+            break
+        block = order[used:used + size]
+        used += size
+        clause = st.lists(st.sampled_from(block), min_size=1, max_size=min(3, size),
+                          unique=True).flatmap(
+            lambda vs: st.tuples(*[st.sampled_from([v, -v]) for v in vs]))
+        lists += [list(cl) for cl in draw(st.lists(clause, max_size=2 * size))]
     return lists, n
 
 
@@ -158,14 +190,73 @@ class TestDisjointness:
         assert img.representation == COUNT_ONLY
 
     def test_one_shared_variable_past_the_cap_is_intractable(self):
-        # two disjoint clauses and a third that shares x6: no closed form
+        # two disjoint clauses and a third that shares x6: the two clauses
+        # over x4..x7 have no closed form, and their 4 variables pass a cap
+        # of 3; the lone clause over x1..x3 needs no sweep
         lists = [[1, 2, 3], [4, 5, 6], [-6, 7]]
         f = formula(lists, 8)
         with pytest.raises(IntractableError) as exc:
-            formula_image(f, enumeration_cap=7)
+            formula_image(f, enumeration_cap=3)
         assert exc.value.variable_count == 8
-        assert exc.value.cap == 7
-        assert formula_image(f, enumeration_cap=8).count == fast_count_models(lists, 8)
+        assert exc.value.cap == 3
+        assert formula_image(f, enumeration_cap=4).count == fast_count_models(lists, 8)
+
+
+class TestComponents:
+    @settings(max_examples=150, deadline=None)
+    @given(overlapping_clauses(), st.data())
+    def test_count_only_image_or_intractable(self, case, data):
+        # the route raises exactly when a component of two or more clauses
+        # has more variables than the cap, and otherwise counts exactly
+        lists, n = case
+        cap = data.draw(st.integers(0, n + 2))
+        largest = max((len(variables) for variables, members in components(lists, n)
+                       if len(members) > 1), default=0)
+        f = formula(lists, n)
+        if largest > cap:
+            with pytest.raises(IntractableError) as exc:
+                formula_image(f, enumeration_cap=cap, materialization_cap=0)
+            assert (exc.value.variable_count, exc.value.cap) == (n, cap)
+        else:
+            img = formula_image(f, enumeration_cap=cap, materialization_cap=0)
+            assert img.count == fast_count_models(lists, n)
+            assert img.representation == COUNT_ONLY
+
+    @settings(max_examples=60, deadline=None)
+    @given(blocks_past_the_cap())
+    def test_count_past_the_cap_matches_component_oracle(self, case):
+        lists, n = case
+        img = formula_image(formula(lists, n))
+        assert img.count == component_count(lists, n)
+        assert img.representation == COUNT_ONLY
+
+    def test_component_spanning_the_chunk_bits(self):
+        # an 18-variable chain is swept in 8 chunks after renumbering, next
+        # to a lone wide clause and 40 free variables
+        chain = [[-i, i + 1] for i in range(101, 118)]
+        lists = chain + [[-(200 + i) for i in range(30)]]
+        img = formula_image(formula(lists, 260))
+        assert img.count == 19 * (2**30 - 1) * 2**(260 - 18 - 30)
+
+    @pytest.mark.parametrize("case", ["chain", "dense 2-SAT"])
+    def test_gives_up_before_any_sweep(self, case, monkeypatch):
+        # the union-find stops at the first component of two or more clauses
+        # past the cap; the 1M-clause formula is not read to its end
+        if case == "chain":
+            f = formula([[1]] + [[-i, i + 1] for i in range(1, 3000)], 3000)
+        else:
+            f = generate_random_ksat(14000, 1000000, 2, seed=1)
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a component was swept")
+
+        monkeypatch.setattr("cdfsat.semantics._sweep", no_sweep)
+        start = time.perf_counter()
+        with pytest.raises(IntractableError) as exc:
+            formula_image(f, materialization_cap=0)
+        elapsed = time.perf_counter() - start
+        assert (exc.value.variable_count, exc.value.cap) == (f.variable_count, ENUMERATION_CAP)
+        assert elapsed < 0.05, f"budget exceeded: {elapsed:.3f}s >= 0.05s"
 
 
 class TestFormulaImage:
@@ -260,14 +351,15 @@ class TestFormulaImage:
         assert img.representation == COUNT_ONLY
 
     def test_intractable_beyond_cap(self):
-        f = formula([[1, 2, 3], [3, 4, 5]], 30)  # overlapping: no product route
+        # one chain of 29 clauses over all 30 variables: a component past the cap
+        f = formula([[i, i + 1] for i in range(1, 30)], 30)
         with pytest.raises(IntractableError) as exc:
             formula_image(f)
         assert exc.value.variable_count == 30
         assert exc.value.cap == 26
 
     def test_cap_is_configurable(self):
-        f = formula([[1, 2], [2, 3]], 10)
+        f = formula([[i, i + 1] for i in range(1, 10)], 10)  # one 10-variable chain
         with pytest.raises(IntractableError):
             formula_image(f, enumeration_cap=9)
         assert formula_image(f, enumeration_cap=10).count > 0

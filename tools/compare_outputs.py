@@ -23,9 +23,10 @@ graph are checked too (with the default heuristic only).  Then comes
 numbers and exit codes are compared as well.  Then ``analyze -`` and
 ``export-dot trace -`` run on each of the VALID_DIMACS texts, which
 ``parse_dimacs`` accepts although they are not in the form that
-``write_dimacs`` writes, and last come the PROVE_COMMANDS, so that every
-command that writes a JSON report is compared: 2455 commands in all at
-seeds 7 and 3.
+``write_dimacs`` writes, then the PROVE_COMMANDS, so that every command
+that writes a JSON report is compared, and last ``analyze -`` and
+``growth`` on formulas past the counting cap (see ``_past_cap_corpus``):
+2481 commands in all at seeds 7 and 3.
 Each checkout then runs all of them in-process through its own
 ``cdfsat.cli.main``, in one subprocess per checkout, with stdin, stdout
 and stderr held in memory; a piped command reads the stdout of its
@@ -56,6 +57,7 @@ MAX_DIFF_LINES = 10
 OTHER_HEURISTIC = ("--heuristic", "most-occurrences")
 CORPUS_SIZE = 500
 NARROW_CORPUS_SIZE = 300
+PAST_CAP_SEEDS = 5
 # (label, DIMACS text): each is refused with a "cdfsat: error:" line, exit 1.
 MALFORMED_DIMACS = (
     ("bad token", "p cnf 3 2\n1 2 0\n-3 x 0\n"),
@@ -250,6 +252,33 @@ def _narrow_corpus(workloads) -> list:
     return commands
 
 
+def _past_cap_corpus(workloads) -> list:
+    """``analyze -`` on formulas past the default cap of 26 variables, and
+    ``growth`` on the first family of them.
+
+    Random 2-SAT at m = n/3 for n = 100-1000 (PAST_CAP_SEEDS draws each)
+    splits into small components, and so does disjoint random 3-SAT.  The
+    60-variable formula holds one component of about 24 variables (random
+    3-SAT at m = 2n) beside 18 disjoint 2-clauses.  The 3000-variable chain
+    is one component, far past the cap.
+    """
+    from cdfsat.formula import formula, generate_random_ksat, write_dimacs
+
+    cases = [(f"2-SAT n={n} m={n // 3} seed {seed}", generate_random_ksat(n, n // 3, 2, seed))
+             for n in (100, 200, 400, 1000) for seed in range(PAST_CAP_SEEDS)]
+    cases += [(f"disjoint 3-SAT n={n} m={n // 3}", generate_random_ksat(n, n // 3, 3, n, True))
+              for n in (30, 120, 600)]
+    big = generate_random_ksat(24, 48, 3, seed=24).clauses
+    cases.append(("a 24-variable component and 18 pairs",
+                  formula(big + tuple((v, -(v + 1)) for v in range(25, 61, 2)), 60)))
+    cases.append(("chain n=3000", formula([[1]] + [[-i, i + 1] for i in range(1, 3000)], 3000)))
+    commands = [workloads.Command(f"analyze {label}", ("analyze", "-"), None,
+                                  stdin=write_dimacs(f)) for label, f in cases]
+    growth = ("growth", "--k", "2", "--density", "1/3", "--n", "100,200,400,1000")
+    commands.append(workloads.Command(" ".join(growth), growth, None))
+    return commands
+
+
 def _changed_lines(theirs: str, mine: str) -> list[str]:
     """The first MAX_DIFF_LINES removed (-) and added (+) lines, indented."""
     diff = difflib.unified_diff(theirs.splitlines(), mine.splitlines(), n=0, lineterm="")
@@ -288,6 +317,7 @@ def main(argv: list[str] | None = None) -> int:
                                   for label, text in VALID_DIMACS]))
     runs.append(("prove", [workloads.Command(" ".join(argv), argv, None, stdin=text)
                            for argv, text in PROVE_COMMANDS]))
+    runs.append(("past the cap", _past_cap_corpus(workloads)))
     payload = json.dumps([[[list(c.argv), c.stdin, c.pipe_from] for c in commands]
                           for _, commands in runs])
     here, other = _results(ROOT, payload), _results(args.other, payload)
