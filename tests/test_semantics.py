@@ -232,7 +232,7 @@ class TestComponents:
 
     def test_component_spanning_the_chunk_bits(self):
         # an 18-variable chain is swept in 8 chunks after renumbering, next
-        # to a lone wide clause and 40 free variables
+        # to a lone 30-variable clause and 212 free variables
         chain = [[-i, i + 1] for i in range(101, 118)]
         lists = chain + [[-(200 + i) for i in range(30)]]
         img = formula_image(formula(lists, 260))
