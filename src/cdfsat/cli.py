@@ -5,9 +5,13 @@ goes to stdout; human-oriented summaries go to stderr.  Output is
 deterministic byte for byte: reports carry no timestamps, all collections
 are emitted in a canonical order, and JSON keys are sorted.
 
-Exit codes: 0 success, 1 bad usage or unreadable input, 2 partial result
-(a component of two or more clauses has more variables than the configured
-cap, so the count is intractable).
+Exit codes: 0 success, 1 bad usage or unreadable input, 2 partial result.
+``analyze`` gives 2 when a component of two or more clauses has more
+variables than the configured cap and the search it runs anyway does not
+settle the count: a refuted formula counts 0, and one that propagation at
+the root satisfies, before any decision, counts 2 to the number of free
+variables, at any size.  ``growth`` gives 2 when a size lands in
+``failedN``, or when fewer than three sizes are measured.
 
 Configuration precedence is flag over environment over default; the
 environment knobs are CDFSAT_CAP (enumeration cap) and CDFSAT_THETA
@@ -47,6 +51,8 @@ from .formula import CnfFormula, parse_dimacs, width_profile, write_dimacs
 from .formula import generate_random_ksat
 from .logic import (
     HEURISTICS,
+    DerivationTrace,
+    SolveResult,
     build_implication_graph,
     dpll_solve,
     implication_graph_to_dot,
@@ -54,6 +60,7 @@ from .logic import (
     trace_to_dot,
 )
 from .semantics import (
+    COUNT_ONLY,
     ENUMERATION_CAP,
     IntractableError,
     check_enumeration_cap,
@@ -125,11 +132,27 @@ def _density(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
     limit = sys.get_int_max_str_digits()
     for part in (value.numerator, value.denominator):
-        if limit and abs(part) >= 10**limit:
+        if limit and _has_more_digits(abs(part), limit):
             raise argparse.ArgumentTypeError(
                 f"{text!r} has more than {limit} digits above or below the line"
             )
     return value
+
+
+def _has_more_digits(x: int, digits: int) -> bool:
+    """Whether ``x >= 10**digits``, for ``x >= 0``.
+
+    With b = x.bit_length(), 2^(b-1) <= x < 2^b, and 10^digits lies
+    between 2^(b-1) and 2^b only when b is within a bit or two of
+    digits * log2(10) (3.3219280948...).  Outside that window the bit
+    length decides; inside it the power is built and compared exactly.
+    """
+    bits = x.bit_length()
+    if bits <= digits * 3321928 // 1000000:  # 2^bits <= 10^digits
+        return False
+    if bits > digits * 3321929 // 1000000 + 1:  # 2^(bits-1) > 10^digits
+        return True
+    return x >= 10**digits
 
 
 def _resolve_theta(flag: float | None) -> float:
@@ -246,6 +269,23 @@ def _model_text(model: dict[int, bool] | None) -> str:
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _search_count(result: SolveResult, trace: DerivationTrace) -> int | None:
+    """The model count that a complete search settles by itself, or None.
+
+    A refuted formula has no model.  A satisfiable one whose trace holds no
+    decision was settled by propagation at the root: the literals forced
+    there are entailed, and they satisfy every clause, so the models are
+    exactly the 2^k settings of the k free variables.  A forcing through a
+    clause of width 3 or more adds a refutation pair and a branch without
+    any decision, so the test is on the decisions, not the branch count.
+    """
+    if not result.satisfiable:
+        return 0
+    if "decision" in trace.kinds:
+        return None
+    return 1 << len(trace.free_variables)
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     cap = _resolve_cap(args.cap)
     theta = _resolve_theta(args.theta)
@@ -254,22 +294,27 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     classification = classify(f, growth=None, theta=theta)
     result, trace = dpll_solve(f, heuristic=args.heuristic)
 
-    partial = False
     try:
         image = formula_image(f, enumeration_cap=cap, materialization_cap=0)
-        semantics: dict = {
-            "intractable": False,
-            "imageCount": image.count,
-            "log2Count": log2_count(image.count),
-            "representation": image.representation,
-        }
+        count, representation = image.count, image.representation
     except IntractableError as exc:
-        partial = True
+        # past the cap, the search that already ran may still settle the count
+        count, representation = _search_count(result, trace), COUNT_ONLY
+        if count is None:
+            semantics: dict = {
+                "intractable": True,
+                "imageCount": None,
+                "variableCount": exc.variable_count,
+                "cap": exc.cap,
+            }
+    partial = count is None
+    if not partial:
         semantics = {
-            "intractable": True,
-            "imageCount": None,
-            "variableCount": exc.variable_count,
-            "cap": exc.cap,
+            "intractable": False,
+            "imageCount": count,
+            # an empty image has no logarithm, and JSON has no -Infinity
+            "log2Count": log2_count(count) if count else None,
+            "representation": representation,
         }
 
     logic: dict = {"dpll": trace.to_json_dict()}

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -10,11 +12,14 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdfsat import cli
 from cdfsat.formula import formula, generate_random_ksat, parse_dimacs, write_dimacs
+from cdfsat.logic import HEURISTICS
+
+from _oracles import components, fast_count_models, fast_satisfiable, naive_unit_closure
 
 CHAIN = "p cnf 3 2\n-1 2 0\n-2 3 0\n"
 WIDE = "p cnf 3 1\n-1 -2 3 0\n"
@@ -38,6 +43,11 @@ def run_cli(*args, env_extra=None, stdin_text=None, binary=False, **run_options)
 
 def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def _refuse_constant(name):
+    # json.loads calls this for NaN, Infinity and -Infinity, which are not JSON
+    raise ValueError(f"not JSON: {name}")
 
 
 def run_main(argv):
@@ -177,11 +187,106 @@ class TestAnalyze:
         proc = run_cli("analyze", "-", "--quiet", stdin_text=text,
                        timeout=20, preexec_fn=_cap_address_space)
         assert "Traceback" not in proc.stderr
-        assert proc.returncode == 2  # counting 14000 variables is past the cap
-        report = json.loads(proc.stdout)
-        assert report["semantics"]["intractable"]
+        # its giant component is past the cap, and the refutation counts it
+        assert proc.returncode == 0
+        report = json.loads(proc.stdout, parse_constant=_refuse_constant)
+        assert report["semantics"] == {"intractable": False, "imageCount": 0,
+                                       "log2Count": None, "representation": "count-only"}
         assert report["logic"]["dpll"]["result"] == "UNSAT"
         assert report["logic"]["twoSat"]["result"] == "UNSAT"
+
+
+def _analyze_in_process(text: str, *options: str) -> tuple[int, dict]:
+    """Exit code and strictly parsed report of ``analyze -`` on ``text``."""
+    saved, out = sys.stdin, io.StringIO()
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["analyze", "-", "--quiet", *options])
+    finally:
+        sys.stdin = saved
+    return code, json.loads(out.getvalue(), parse_constant=_refuse_constant)
+
+
+@st.composite
+def _formulas_with_units(draw):
+    """(clauses, n): n <= 16, up to n unit clauses among up to 3n clauses
+    of widths 1-3, each over distinct variables with random signs."""
+    n = draw(st.integers(1, 16))
+
+    def clause(max_width: int) -> list[int]:
+        variables = draw(st.lists(st.integers(1, n), min_size=1, max_size=max_width,
+                                  unique=True))
+        return [v if draw(st.booleans()) else -v for v in variables]
+
+    units = [clause(1) for _ in range(draw(st.integers(0, n)))]
+    rest = [clause(3) for _ in range(draw(st.integers(0, 3 * n)))]
+    return draw(st.permutations(units + rest)), n
+
+
+class TestCountFromSearch:
+    """Past the cap, ``analyze`` takes the count from the search when the
+    search settles it: 0 for a refuted formula, 2^free for one that root
+    propagation satisfies before any decision."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_formulas_with_units(), st.integers(0, 3))
+    # two units force x3 through a width-3 clause (a refutation pair, one
+    # branch and no decision), then the chain forces the rest: one model
+    @example(([[1], [2], [-1, -2, 3]] + [[-i, i + 1] for i in range(3, 7)], 7), 3)
+    def test_counts_match_oracle(self, drawn, cap):
+        clauses, n = drawn
+        text = write_dimacs(formula(clauses, n))
+        sections = []
+        for heuristic in HEURISTICS:
+            code, report = _analyze_in_process(text, "--cap", str(cap),
+                                               "--heuristic", heuristic)
+            assert code == (2 if report["semantics"]["intractable"] else 0)
+            sections.append(report["semantics"])
+        assert sections[0] == sections[1]
+        semantics = sections[0]
+
+        largest = max((len(variables) for variables, members in components(clauses, n)
+                       if len(members) > 1), default=0)
+        forced, _ = naive_unit_closure(clauses, [])
+        settled = all(any(lit in forced for lit in cl) for cl in clauses)
+        expected = largest > cap and fast_satisfiable(clauses, n) and not settled
+        assert semantics["intractable"] == expected
+        if not expected:
+            count = fast_count_models(clauses, n)
+            assert semantics["imageCount"] == count
+            assert semantics["log2Count"] == (math.log2(count) if count else None)
+
+    @pytest.mark.parametrize(
+        "f, count",
+        [
+            pytest.param(generate_random_ksat(200, 200, 2, 43), 0, id="refuted 2-SAT"),
+            pytest.param(generate_random_ksat(40, 170, 3, 4), 0, id="refuted 3-SAT"),
+            pytest.param(formula([[1]] + [[-i, i + 1] for i in range(1, 3000)], 3020),
+                         2**20, id="unit chain"),
+            pytest.param(formula([[1], [2], [-1, -2, 3]] + [[-i, i + 1] for i in range(3, 40)],
+                                 40), 1, id="forced through a wide clause"),
+            pytest.param(formula([[i, i + 1] for i in range(1, 30)], 30), None,
+                         id="SAT after a decision"),
+            pytest.param(formula([[1, 2], [-1, 2], [1, -2], [-1, -2]], 2), 0,
+                         id="refuted within the cap"),
+        ],
+    )
+    def test_semantics_section(self, f, count, monkeypatch):
+        monkeypatch.delenv("CDFSAT_CAP", raising=False)
+        code, report = _analyze_in_process(write_dimacs(f))
+        semantics = report["semantics"]
+        if count is None:
+            assert code == 2
+            assert semantics == {"intractable": True, "imageCount": None,
+                                 "variableCount": f.variable_count, "cap": 26}
+        else:
+            assert code == 0
+            assert semantics == {
+                "intractable": False, "imageCount": count,
+                "log2Count": math.log2(count) if count else None,
+                "representation": "count-only",
+            }
 
 
 class TestConfigPrecedence:
@@ -405,6 +510,36 @@ class TestGrowth:
         assert out == ""
         assert err.endswith(f"has more than {limit} digits above or below the line\n")
 
+    def test_density_digits_stop_at_a_lowered_limit(self, capsys):
+        saved = sys.get_int_max_str_digits()
+        limit = 640
+        sys.set_int_max_str_digits(limit)
+        try:
+            args = ["growth", "--k", "2", "--n", "4,6,8", "--quiet", "--density"]
+            # 2**2126 has 640 digits and the bit length of 10**640, so only the
+            # exact comparison can tell the two apart
+            for density, shown in [(f"1e-{limit - 1}", f"1/1{'0' * (limit - 1)}"),
+                                   (f"5e-{limit}", f"1/2{'0' * (limit - 1)}"),
+                                   (f"1/{2**2126}", f"1/{2**2126}")]:
+                assert run_main(args + [density]) == 0
+                out, _ = capsys.readouterr()
+                assert json.loads(out)["provenance"]["config"]["density"] == shown
+            for density in [f"1e-{limit}", f"1e{limit}"]:
+                assert run_main(args + [density]) == 1
+                out, err = capsys.readouterr()
+                assert out == ""
+                assert err.endswith(f"has more than {limit} digits above or below the line\n")
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    def test_digit_bound_is_exact(self):
+        for digits in [*range(1, 80), 640, 4300]:
+            power = 10**digits
+            bits = power.bit_length()
+            for x in {0, 1, power - 1, power, power + 1, power // 2, 2 * power,
+                      1 << (bits - 2), 1 << (bits - 1), (1 << bits) - 1, 1 << bits}:
+                assert cli._has_more_digits(x, digits) == (x >= power), (x, digits)
+
     def test_clause_limit_counts_the_largest_member(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "MAX_CLAUSES", 6)
         args = ["growth", "--k", "2", "--n", "4,6,8", "--quiet", "--density"]
@@ -589,17 +724,18 @@ class TestExportDot:
 
     # chain: a 3000-deep propagation chain; pairs: 1500 decisions, each
     # followed by one propagation.  Both search 3000 deep, past Python's
-    # default recursion limit.  Counting the chain's 3000 overlapping
-    # variables is past the cap (partial result, exit 2); the pairs are
+    # default recursion limit.  The chain's 3000 overlapping variables are
+    # one component past the cap, but propagation at the root satisfies it
+    # with no decision, so its one model is counted; the pairs are
     # disjoint clauses, counted exactly by the product law.
     @pytest.mark.parametrize(
-        "clauses, analyze_code",
+        "clauses, count",
         [
-            pytest.param([[1]] + [[-i, i + 1] for i in range(1, 3000)], 2, id="chain"),
-            pytest.param([[-i, -(i + 1)] for i in range(1, 3000, 2)], 0, id="pairs"),
+            pytest.param([[1]] + [[-i, i + 1] for i in range(1, 3000)], 1, id="chain"),
+            pytest.param([[-i, -(i + 1)] for i in range(1, 3000, 2)], 3**1500, id="pairs"),
         ],
     )
-    def test_deep_chain_within_budget(self, clauses, analyze_code):
+    def test_deep_chain_within_budget(self, clauses, count):
         n = 3000
         text = f"p cnf {n} {len(clauses)}\n" + "".join(
             " ".join(map(str, cl)) + " 0\n" for cl in clauses
@@ -608,8 +744,10 @@ class TestExportDot:
         analyze = run_cli("analyze", "-", "--quiet", stdin_text=text)
         dot = run_cli("export-dot", "trace", "-", stdin_text=text)
         elapsed = time.monotonic() - start
-        assert analyze.returncode == analyze_code, analyze.stderr
-        assert json.loads(analyze.stdout)["logic"]["dpll"]["depth"] == n
+        assert analyze.returncode == 0, analyze.stderr
+        report = json.loads(analyze.stdout)
+        assert report["logic"]["dpll"]["depth"] == n
+        assert report["semantics"]["imageCount"] == count
         assert dot.returncode == 0, dot.stderr
         assert dot.stdout.count(" [label=") == n + 1
         assert elapsed < 5.0, f"budget exceeded: {elapsed:.2f}s >= 5.0s"

@@ -26,7 +26,7 @@ numbers and exit codes are compared as well.  Then ``analyze -`` and
 ``write_dimacs`` writes, then the PROVE_COMMANDS, so that every command
 that writes a JSON report is compared, and last ``analyze -`` and
 ``growth`` on formulas past the counting cap (see ``_past_cap_corpus``):
-2481 commands in all at seeds 7 and 3.
+2487 commands in all at seeds 7 and 3.
 Each checkout then runs all of them in-process through its own
 ``cdfsat.cli.main``, in one subprocess per checkout, with stdin, stdout
 and stderr held in memory; a piped command reads the stdout of its
@@ -259,8 +259,13 @@ def _past_cap_corpus(workloads) -> list:
     Random 2-SAT at m = n/3 for n = 100-1000 (PAST_CAP_SEEDS draws each)
     splits into small components, and so does disjoint random 3-SAT.  The
     60-variable formula holds one component of about 24 variables (random
-    3-SAT at m = 2n) beside 18 disjoint 2-clauses.  The 3000-variable chain
-    is one component, far past the cap.
+    3-SAT at m = 2n) beside 18 disjoint 2-clauses.  The rest are one
+    component far past the cap, whose count only the search can settle:
+    random 2-SAT at n = m = 200 and random 3-SAT at n = 40, m = 170, two
+    refuted draws each (count 0); the 3000-variable chain from a unit
+    clause, alone and among 3020 variables, which root propagation
+    satisfies (count 1 and 2^20); and a 30-variable chain of positive
+    2-clauses, satisfiable only after a decision, which stays intractable.
     """
     from cdfsat.formula import formula, generate_random_ksat, write_dimacs
 
@@ -271,7 +276,14 @@ def _past_cap_corpus(workloads) -> list:
     big = generate_random_ksat(24, 48, 3, seed=24).clauses
     cases.append(("a 24-variable component and 18 pairs",
                   formula(big + tuple((v, -(v + 1)) for v in range(25, 61, 2)), 60)))
-    cases.append(("chain n=3000", formula([[1]] + [[-i, i + 1] for i in range(1, 3000)], 3000)))
+    cases += [(f"refuted 2-SAT n=200 m=200 seed {seed}", generate_random_ksat(200, 200, 2, seed))
+              for seed in (43, 48)]
+    cases += [(f"refuted 3-SAT n=40 m=170 seed {seed}", generate_random_ksat(40, 170, 3, seed))
+              for seed in (2, 4)]
+    chain = [[1]] + [[-i, i + 1] for i in range(1, 3000)]
+    cases.append(("chain n=3000", formula(chain, 3000)))
+    cases.append(("chain over 3000 of n=3020", formula(chain, 3020)))
+    cases.append(("SAT after a decision n=30", formula([[i, i + 1] for i in range(1, 30)], 30)))
     commands = [workloads.Command(f"analyze {label}", ("analyze", "-"), None,
                                   stdin=write_dimacs(f)) for label, f in cases]
     growth = ("growth", "--k", "2", "--density", "1/3", "--n", "100,200,400,1000")
