@@ -19,13 +19,20 @@ seed-by-seed comparison of the two fragments.  A width->=3 clause has no
 implication form at all, which ``clause_to_implications`` reports as
 WideClauseError.
 
-``ImplicationGraph`` stores its edges as one list indexed by literal, where
-a negative literal indexes from the end, as in the DPLL value table below:
-entry u is the tuple of u's successors in canonical order (by variable,
-positive first).  ``build_implication_graph`` is the only way to get one:
-it fills the list straight from a formula's clause literals, so the graph
-is the image of the formula's narrow clauses, and it is closed under
-contraposition because each clause's implication form is.  ``solve_2sat``
+Every table in this module that holds an entry for each literal has one
+layout: a list of 2n + 1 entries indexed by literal, where a negative
+literal indexes from the end, so variable v owns entries v and -v and
+entry 0 is unused.  A lookup is then one list index, with no hashing and
+no default for a literal that occurs nowhere.  The implication graph's
+successors, Tarjan's state in ``solve_2sat``, the occurrence lists of
+``occurrence_index`` and the DPLL value table are such lists.
+
+``ImplicationGraph`` stores its edges in that layout: entry u is the tuple
+of u's successors in canonical order (by variable, positive first).
+``build_implication_graph`` is the only way to get one: it fills the list
+straight from a formula's clause literals, so the graph is the image of
+the formula's narrow clauses, and it is closed under contraposition
+because each clause's implication form is.  ``solve_2sat``
 decides a width-<=2 formula in linear time by strongly connected
 components (Aspvall, Plass & Tarjan 1979), running Tarjan's algorithm over
 lists indexed the same way.
@@ -58,7 +65,14 @@ subtree below an autarky, so the cut leaves SAT traces unchanged.
 The trace is a tree stored flat, as parallel per-node lists (parent, kind,
 variable, value, leaf) in depth-first preorder, so searching, counting,
 measuring and rendering are loops with no recursion, however deep the
-search goes.
+search goes.  The tree's depth is the longest the trail ever grew, which
+the search records as it goes.  Every node on a path from the root, except
+the root, assigns one trail literal, so a node's depth is the trail's
+length just after the node is made; a refutation leaf sits one level below
+its parent, where the forced literal next goes on the trail.  The trail
+shrinks only when the search retreats from a conflict, so its high-water
+mark is read there, before any literal is popped, and once more at the
+end.
 """
 
 from __future__ import annotations
@@ -228,20 +242,21 @@ def propagate_closure(g: ImplicationGraph, seed: Iterable[int]) -> PropagationCl
     return PropagationClosure(seed_set, frozenset(forced), tuple(steps), conflict)
 
 
-def occurrence_index(f: CnfFormula) -> tuple[dict[int, list[int]], tuple[int, ...]]:
+def occurrence_index(f: CnfFormula) -> tuple[list[list[int]], tuple[int, ...]]:
     """Where each literal occurs in ``f``, for event-driven propagation.
 
-    Returns the occurrence lists, which map a literal to the ascending
-    indices of the clauses that contain it, and the indices of the width-1
-    clauses in ascending order.
+    Returns the occurrence lists, one list indexed by literal (a negative
+    literal indexes from the end, and entry 0 is empty) whose entry is the
+    ascending indices of the clauses that contain the literal, and the
+    indices of the width-1 clauses in ascending order.
     """
-    occ: dict[int, list[int]] = {}
+    occ: list[list[int]] = [[] for _ in range(2 * f.variable_count + 1)]
     units: list[int] = []
     for idx, cl in enumerate(f.clauses):
         if len(cl) == 1:
             units.append(idx)
         for lit in cl:
-            occ.setdefault(lit, []).append(idx)
+            occ[lit].append(idx)
     return occ, tuple(units)
 
 
@@ -270,14 +285,15 @@ def unit_propagate(f: CnfFormula, assignment: Assignment) -> PropagationClosure:
             raise ValueError(f"assigned variable {var} outside variable range")
     occ, units = occurrence_index(f)
     clauses = f.clauses
-    seed_set = frozenset(v if val else -v for v, val in assignment.items())
+    # a variable mapped to None is free, as in ``satisfies``
+    seed_set = frozenset(v if val else -v for v, val in assignment.items() if val is not None)
     forced: set[int] = set(seed_set)
     order: dict[int, int] = {lit: i for i, lit in enumerate(sorted(seed_set, key=_lit_key))}
     steps: list[PropagationStep] = []
     conflict: int | None = None
     later: set[int] = set(units)
     for lit in seed_set:
-        later.update(occ.get(-lit, ()))
+        later.update(occ[-lit])
     while later and conflict is None:
         queue = sorted(later)  # a sorted list is a valid heap
         queued = later
@@ -303,7 +319,7 @@ def unit_propagate(f: CnfFormula, assignment: Assignment) -> PropagationClosure:
                 forced.add(forced_lit)
                 order[forced_lit] = len(order)
                 steps.append(PropagationStep(source, "unit", forced_lit))
-                for j in occ.get(-forced_lit, ()):
+                for j in occ[-forced_lit]:
                     if j < i:
                         later.add(j)
                     elif j not in queued:
@@ -442,7 +458,10 @@ class DerivationTrace:
     second value was tried, and refutation pairs (the excluded value *is*
     the first try).  backtrack_count counts conflict leaves that the search
     retreated from (every conflict except a final one that ends an UNSAT
-    run), so branch_count >= backtrack_count always holds.
+    run), so branch_count >= backtrack_count always holds.  max_depth is the
+    longest root-to-leaf path in edges: the trail's high-water mark during
+    the search (see the module docstring).  ``depth()`` returns that stored
+    number, and stays a method because ``perfbench/tracing.py`` calls it.
     """
 
     parents: list[int]
@@ -455,16 +474,14 @@ class DerivationTrace:
     branch_count: int
     backtrack_count: int
     free_variables: tuple[int, ...]
+    max_depth: int
 
     def node_count(self) -> int:
         return len(self.parents)
 
     def depth(self) -> int:
         """Longest root-to-leaf path, in edges."""
-        depths = [0] * len(self.parents)
-        for i in range(1, len(self.parents)):
-            depths[i] = depths[self.parents[i]] + 1
-        return max(depths)
+        return self.max_depth
 
     def to_json_dict(self) -> dict:
         out = self.result.to_json_dict()
@@ -492,12 +509,13 @@ class _DpllSearch:
         self.order = list(range(1, f.variable_count + 1))
         if heuristic == "most-occurrences":
             # stable sort: ties keep ascending index
-            self.order.sort(key=lambda v: -len(self.occ.get(v, ())) - len(self.occ.get(-v, ())))
+            self.order.sort(key=lambda v: -len(self.occ[v]) - len(self.occ[-v]))
         # value[lit] is True, False or None (unassigned); a negative literal
         # indexes from the end, so each variable v has the two entries
         # value[v] and value[-v], which are set and cleared together
         self.value: list[bool | None] = [None] * (2 * f.variable_count + 1)
         self.trail: list[int] = []  # the assigned literals, oldest first
+        self.max_depth = 0  # the trail's longest length at a conflict
         self.branch_count = 0
         self.conflict_seen = 0
         # the trace, node 0 being the root (see DerivationTrace)
@@ -527,7 +545,7 @@ class _DpllSearch:
         next_unit = 0
         while head < len(trail) or next_unit < len(units):
             if head < len(trail):
-                visit = occ.get(-trail[head], ())
+                visit = occ[-trail[head]]
                 head += 1
             else:
                 visit = (units[next_unit],)
@@ -594,7 +612,7 @@ class _DpllSearch:
             if value[var] is not None:
                 continue
             for lit in (var, -var):
-                for idx in occ.get(lit, ()):
+                for idx in occ[lit]:
                     if idx in satisfied:
                         continue
                     if not any(map(value.__getitem__, clauses[idx])):
@@ -616,7 +634,7 @@ class _DpllSearch:
         it a conflict or a unit."""
         value, occ, clauses = self.value, self.occ, self.clauses
         for lit in self.trail[mark:]:
-            for idx in occ.get(-lit, ()):
+            for idx in occ[-lit]:
                 cl = clauses[idx]
                 if len(cl) > 2 and not any(map(value.__getitem__, cl)):
                     return False
@@ -631,11 +649,12 @@ class _DpllSearch:
         the literal, order position of its variable, whether the level it
         was decided on is autarkic).  The true value is tried first, so a
         negative literal means both values have been tried.  On a conflict
-        the loop drops those frames, pops the trail back to the newest
-        remaining frame's mark, clearing both value entries of every
-        literal it pops, and flips that frame's literal; the search is
-        UNSAT when no frame remains, or as soon as a frame it would drop
-        was decided on an autarkic level.
+        the loop first raises ``max_depth`` to the trail's length.  It then
+        drops those frames, pops the trail back to the newest remaining
+        frame's mark, clearing both value entries of every literal it pops,
+        and flips that frame's literal; the search is UNSAT when no frame
+        remains, or as soon as a frame it would drop was decided on an
+        autarkic level.
 
         A level is the literals a decision sets, ``trail[mark:]`` (at the
         root, the literals the unit clauses force).  It is autarkic when
@@ -660,6 +679,8 @@ class _DpllSearch:
                 lit, parent, mark = order[pos], tip, len(trail)
                 frames.append((lit, parent, mark, pos, autarkic))
             else:
+                if len(trail) > self.max_depth:
+                    self.max_depth = len(trail)
                 while frames and frames[-1][0] < 0:
                     if frames[-1][4]:
                         return False  # refuted below an autarky
@@ -708,6 +729,7 @@ class _DpllSearch:
             branch_count=self.branch_count,
             backtrack_count=backtracks,
             free_variables=free,
+            max_depth=max(self.max_depth, len(self.trail)),
         )
         return result, trace
 

@@ -122,30 +122,28 @@ def clauses_variable_disjoint(f: CnfFormula) -> bool:
 def clause_image(cl: Clause) -> SemanticImage:
     """Image of a single clause over its own variables: 2^k - 1 assignments.
 
-    The one excluded assignment sets every literal false.  The assignments
-    are materialized up to MATERIALIZATION_CAP variables.
+    The one excluded assignment sets every literal false.  This is
+    ``formula_image`` of the one-clause formula over the clause's sorted
+    variables, renumbered 1..k, so the assignments are materialized up to
+    MATERIALIZATION_CAP variables and the count is the closed form beyond.
     """
     scope = tuple(sorted(cl.variables()))
-    k = len(scope)
-    count = (1 << k) - 1
-    if k > MATERIALIZATION_CAP:
-        return SemanticImage(scope, count, None)
-    position = {v: k - 1 - j for j, v in enumerate(scope)}
-    excluded = 0
-    for lit in cl:
-        if lit < 0:  # negative literal is false when the variable is true
-            excluded |= 1 << position[abs(lit)]
-    masks = tuple(m for m in range(1 << k) if m != excluded)
-    return SemanticImage(scope, count, masks)
+    local = {v: i for i, v in enumerate(scope, 1)}
+    renumbered = tuple(local[lit] if lit > 0 else -local[-lit] for lit in cl)
+    image = formula_image(CnfFormula((renumbered,), len(scope)))
+    return SemanticImage(scope, image.count, image.assignments)
 
 
-def truth_columns(bits: int) -> tuple[list[int], int]:
+@lru_cache(maxsize=None)
+def truth_columns(bits: int) -> tuple[tuple[int, ...], int]:
     """Truth columns of assignment bits 0..bits-1, and the all-ones int.
 
     Each column is one int over the 2^bits assignments, assignment ``a`` at
     bit ``a``.  Column 2j is set where bit j of the assignment is set,
     column 2j + 1 is its complement.  The all-ones int has every one of the
-    2^bits bits set.
+    2^bits bits set.  The result is built once per width, since a formula
+    may need one sweep per component: the sweep uses widths 0..SWEEP_BITS
+    and truth tables up to their atom cap, about 10 MiB of columns at most.
     """
     size = 1 << bits
     ones = (1 << size) - 1
@@ -159,15 +157,6 @@ def truth_columns(bits: int) -> tuple[list[int], int]:
             column |= column << width
             width *= 2
         columns += (column, column ^ ones)
-    return columns, ones
-
-
-@lru_cache(maxsize=None)
-def _chunk_columns(bits: int) -> tuple[tuple[int, ...], int]:
-    """``truth_columns(bits)``, built once per chunk width (at most
-    SWEEP_BITS + 1 of them), since a formula may need one sweep per
-    component."""
-    columns, ones = truth_columns(bits)
     return tuple(columns), ones
 
 
@@ -181,7 +170,7 @@ def _sweep(
     are checked first.
     """
     low = min(n, SWEEP_BITS)
-    columns, base = _chunk_columns(low)
+    columns, base = truth_columns(low)
     # each clause with a high literal: (mask, falsifying pattern) of its high
     # literals over the chunk prefix, and the OR of its low columns
     split: list[tuple[int, int, int]] = []

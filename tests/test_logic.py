@@ -133,6 +133,12 @@ def assert_matches_reference_search(f, clause_lists, heuristic):
     assert tr.branch_count == ref["branch_count"]
     assert tr.backtrack_count == ref["backtrack_count"]
     assert tr.free_variables == ref["free_variables"]
+    # the stored depth is the longest root-to-leaf path of the reference tree
+    parents = ref["parents"]
+    depths = [0] * len(parents)
+    for i in range(1, len(parents)):
+        depths[i] = depths[parents[i]] + 1
+    assert tr.depth() == max(depths)
     return res
 
 
@@ -274,6 +280,11 @@ class TestUnitPropagate:
     def test_assignment_out_of_range(self):
         with pytest.raises(ValueError):
             unit_propagate(formula([], 2), {3: True})
+
+    def test_variable_mapped_to_none_is_free(self):
+        # as in satisfies: None is no value, so x1 is not read as false
+        f = formula([[1, 2]], 2)
+        assert unit_propagate(f, {1: None}) == unit_propagate(f, {})
 
     @settings(max_examples=80, deadline=None)
     @given(random_2cnf(), st.integers(0, 8))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
 import re
 import subprocess
 import sys
@@ -124,22 +125,38 @@ def test_cli_imports_proofs_only_for_prove():
 def test_benchmark_tracer_installs_and_counts(monkeypatch, capsys):
     # perfbench/tracing.py imports package members and wraps others by the
     # module attributes their callers look them up through, so a deleted or
-    # renamed member would break the benchmark before it measures anything
+    # renamed member would break the benchmark before it measures anything.
+    # Its observers read the trace's depth() and node_count() and count the
+    # nodes in trace_to_dot's text, so a changed result breaks it as well.
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     from cdfsat import cli
 
+    data = ROOT / "tests" / "data"
+    chain = str(data / "implication_chain.cnf")
+    wide = str(data / "wide_clause.cnf")  # 5 nodes, depth 3, one refutation pair
     try:
         import tracing
 
         tracer = tracing.Tracer()
         tracer.install()
         try:
-            chain = ROOT / "tests" / "data" / "implication_chain.cnf"
-            assert cli.main(["export-dot", "implication-graph", str(chain)]) == 0
+            assert cli.main(["export-dot", "implication-graph", chain]) == 0
+            graph = capsys.readouterr().out
+            graph_builds = tracer.calls["logic.build_implication_graph"]
+            assert cli.main(["analyze", wide]) == 0
+            report = json.loads(capsys.readouterr().out)["logic"]["dpll"]
+            searched = dict(tracer.counters)
+            assert cli.main(["export-dot", "trace", wide]) == 0
+            dot = capsys.readouterr().out
         finally:
             tracer.restore()
     finally:
         sys.modules.pop("tracing", None)
-    assert capsys.readouterr().out.startswith("digraph implication_graph {")
-    assert tracer.calls["logic.build_implication_graph"] == 1
+    assert graph.startswith("digraph implication_graph {")
+    assert graph_builds == 1
+    assert (report["nodeCount"], report["depth"]) == (5, 3)
+    assert searched["logic.dpll.trace_nodes"] == report["nodeCount"]
+    assert searched["logic.dpll.depth"] == report["depth"]
+    assert dot.startswith("digraph derivation_trace {")
+    assert tracer.nodes_emitted == report["nodeCount"]
