@@ -286,9 +286,9 @@ def measure_growth(
     beyond the enumeration cap still measure exactly when every component
     of two or more clauses of the family member fits the cap (see
     ``formula_image``); otherwise that n lands in failed_n, as does an
-    unsatisfiable member, and the fit proceeds on the remaining samples.  Fewer than 3 remaining samples raise ValueError:
-    two points fit both models exactly, and the tie would always go to
-    Exponential.
+    unsatisfiable member, and the fit proceeds on the remaining samples.
+    Fewer than 3 remaining samples raise ValueError: two points fit both
+    models exactly, and the tie would always go to Exponential.
     """
     ns = list(n_values)
     if len(ns) < 3:

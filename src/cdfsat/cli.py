@@ -272,7 +272,7 @@ def _model_text(model: dict[int, bool] | None) -> str:
 def _search_count(result: SolveResult, trace: DerivationTrace) -> int | None:
     """The model count that a complete search settles by itself, or None.
 
-    A refuted formula has no model.  A satisfiable one whose trace holds no
+    A refuted formula has no model.  A satisfiable one whose search took no
     decision was settled by propagation at the root: the literals forced
     there are entailed, and they satisfy every clause, so the models are
     exactly the 2^k settings of the k free variables.  A forcing through a
@@ -281,7 +281,7 @@ def _search_count(result: SolveResult, trace: DerivationTrace) -> int | None:
     """
     if not result.satisfiable:
         return 0
-    if "decision" in trace.kinds:
+    if trace.decision_count:
         return None
     return 1 << len(trace.free_variables)
 
@@ -292,7 +292,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     f = _read_formula(args.input)
 
     classification = classify(f, growth=None, theta=theta)
-    result, trace = dpll_solve(f, heuristic=args.heuristic)
+    result, trace = dpll_solve(f, heuristic=args.heuristic, record="counts")
 
     try:
         image = formula_image(f, enumeration_cap=cap, materialization_cap=0)
@@ -563,8 +563,11 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     if args.kind == "implication-graph":
         sys.stdout.write(implication_graph_to_dot(build_implication_graph(f)))
     else:
-        _, trace = dpll_solve(f, heuristic=args.heuristic)
-        sys.stdout.write(trace_to_dot(trace))
+        # the trace is dropped before its text is written out
+        _, trace = dpll_solve(f, heuristic=args.heuristic, record="dot")
+        text = trace_to_dot(trace)
+        del trace
+        sys.stdout.write(text)
     return 0
 
 

@@ -62,14 +62,24 @@ without conflict is autarkic, so each decision is tried at most twice, as
 in Even, Itai & Shamir (1976).  A satisfiable formula never exhausts the
 subtree below an autarky, so the cut leaves SAT traces unchanged.
 
-The trace is a tree stored flat, as parallel per-node lists (parent, kind,
-variable, value, leaf) in depth-first preorder, so searching, counting,
-measuring and rendering are loops with no recursion, however deep the
-search goes.  The tree's depth is the longest the trail ever grew, which
-the search records as it goes.  Every node on a path from the root, except
-the root, assigns one trail literal, so a node's depth is the trail's
-length just after the node is made; a refutation leaf sits one level below
-its parent, where the forced literal next goes on the trail.  The trail
+The search tree is numbered in depth-first preorder, and the search keeps
+of it only what its caller consumes, chosen by ``dpll_solve``'s
+``record``: the whole tree as flat parallel per-node lists (parent, kind,
+variable, value, leaf), or the parents and the tree's DOT node lines,
+written as each node is made, or no node at all.  The search loop is one
+and the same in every case, and so are its counters: nodes, decisions,
+branches, backtracks and the depth.  No step recurses, however deep the
+search goes.  A mark (a conflict or a model) always lands on the newest
+node, so a node's DOT line is final once a newer node exists.  At each
+decision, once ``DOT_CHUNK`` finished lines or more are waiting, they are
+joined into one string, so a long search holds a few large strings rather
+than one per node.
+
+The tree's depth is the longest the trail ever grew, which the search
+records as it goes.  Every node on a path from the root, except the root,
+assigns one trail literal, so a node's depth is the trail's length just
+after the node is made; a refutation leaf sits one level below its
+parent, where the forced literal next goes on the trail.  The trail
 shrinks only when the search retreats from a conflict, so its high-water
 mark is read there, before any literal is popped, and once more at the
 end.
@@ -77,6 +87,7 @@ end.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -438,46 +449,63 @@ def solve_2sat(f: CnfFormula) -> SolveResult:
 # ---------------------------------------------------------------------------
 
 HEURISTICS = ("lowest-index", "most-occurrences")
+# what a search records per node, for the caller that consumes it
+RECORDS = ("tree", "dot", "counts")
+# the least number of finished DOT node lines joined into one string
+DOT_CHUNK = 4096
 
 
 @dataclass
 class DerivationTrace:
     """Search tree of one dpll_solve run plus its effort counters.
 
-    The tree is stored as five parallel lists indexed by node id.  Node 0
-    is the root, and nodes are numbered in creation order, which is
-    depth-first preorder, so every parent precedes its children
-    (``parents[i] < i``; the root's parent is -1).  ``kinds`` holds "root"
-    for the start marker, "decision" for a heuristic choice,
-    "propagation" for a forcing and "refutation" for the probed-and-excluded
-    value of a width->=3 forcing; ``variables`` and ``values`` give the
-    assignment a node makes (None at the root); ``leaves`` marks a node as
-    a "SAT" or "UNSAT" endpoint of its branch, or None.
+    Every record mode fills the counters.  node_count() is the number of
+    nodes of the search tree, decision_count the number of decision nodes
+    among them.  branch_count counts branch points explored both ways:
+    decisions whose second value was tried, and refutation pairs (the
+    excluded value *is* the first try).  backtrack_count counts conflict
+    leaves that the search retreated from (every conflict except a final
+    one that ends an UNSAT run), so branch_count >= backtrack_count always
+    holds.  max_depth is the longest root-to-leaf path in edges: the
+    trail's high-water mark during the search (see the module docstring).
+    ``depth()`` returns that stored number, and stays a method because
+    ``perfbench/tracing.py`` calls it.
 
-    branch_count counts branch points explored both ways: decisions whose
-    second value was tried, and refutation pairs (the excluded value *is*
-    the first try).  backtrack_count counts conflict leaves that the search
-    retreated from (every conflict except a final one that ends an UNSAT
-    run), so branch_count >= backtrack_count always holds.  max_depth is the
-    longest root-to-leaf path in edges: the trail's high-water mark during
-    the search (see the module docstring).  ``depth()`` returns that stored
-    number, and stays a method because ``perfbench/tracing.py`` calls it.
+    Node 0 is the root, and nodes are numbered in creation order, which is
+    depth-first preorder, so every parent precedes its children.  The tree
+    itself is kept only as far as the record mode asks:
+
+    * "tree" fills five parallel lists indexed by node id.  ``parents``
+      holds each node's parent (the root's is -1, and ``parents[i] < i``);
+      ``kinds`` holds "root" for the start marker, "decision" for a
+      heuristic choice, "propagation" for a forcing and "refutation" for
+      the probed-and-excluded value of a width->=3 forcing; ``variables``
+      and ``values`` give the assignment a node makes (None at the root);
+      ``leaves`` marks a node as a "SAT" or "UNSAT" endpoint of its branch,
+      or None.  ``dot_nodes`` is None.
+    * "dot" fills ``parents``, as an ``array('i')`` of 4 bytes per node,
+      and ``dot_nodes``, the tree's DOT node lines in order, joined into
+      chunks (see ``trace_to_dot``).  The other four lists are None.
+    * "counts" keeps no node: the five lists and ``dot_nodes`` are None.
     """
 
-    parents: list[int]
-    kinds: list[str]
-    variables: list[int | None]
-    values: list[bool | None]
-    leaves: list[str | None]
     result: SolveResult
     heuristic: str
     branch_count: int
     backtrack_count: int
     free_variables: tuple[int, ...]
     max_depth: int
+    total_nodes: int
+    decision_count: int
+    parents: Sequence[int] | None = None
+    kinds: list[str] | None = None
+    variables: list[int | None] | None = None
+    values: list[bool | None] | None = None
+    leaves: list[str | None] | None = None
+    dot_nodes: list[str] | None = None
 
     def node_count(self) -> int:
-        return len(self.parents)
+        return self.total_nodes
 
     def depth(self) -> int:
         """Longest root-to-leaf path, in edges."""
@@ -499,8 +527,32 @@ class DerivationTrace:
         return out
 
 
+def _dot_node_parts(n: int) -> tuple[list[str], dict[tuple[bool, str | None], str]]:
+    """The two parts of the DOT line of a trace node over variables 1..n,
+    which follow the node's name ``  n<id>``.
+
+    The first part is the start of the label, by the literal the node
+    assigns: a list indexed by literal, a negative literal from the end, as
+    the module's other per-literal tables, whose entry 0 is the root's.
+    The second ends the label and the line, by whether the node is a
+    decision and by its leaf mark (None, "UNSAT" or "SAT").  Decision
+    nodes are double-circled and UNSAT leaves are filled.
+    """
+    heads = ([' [label="Start']
+             + [f' [label="x{v}=true' for v in range(1, n + 1)]
+             + [f' [label="x{v}=false' for v in range(n, 0, -1)])
+    ends = {}
+    for decision in (False, True):
+        for leaf in (None, "UNSAT", "SAT"):
+            mark = "" if leaf is None else f" ({leaf})"
+            shape = ", shape=doublecircle" if decision else ""
+            style = ", style=filled" if leaf == "UNSAT" else ""
+            ends[decision, leaf] = f'{mark}"{shape}{style}];\n'
+    return heads, ends
+
+
 class _DpllSearch:
-    def __init__(self, f: CnfFormula, heuristic: str):
+    def __init__(self, f: CnfFormula, heuristic: str, record: str):
         self.f = f
         self.clauses = f.clauses
         self.heuristic = heuristic
@@ -518,16 +570,44 @@ class _DpllSearch:
         self.max_depth = 0  # the trail's longest length at a conflict
         self.branch_count = 0
         self.conflict_seen = 0
-        # the trace, node 0 being the root (see DerivationTrace)
-        self.parents: list[int] = [-1]
-        self.kinds: list[str] = ["root"]
-        self.variables: list[int | None] = [None]
-        self.values: list[bool | None] = [None]
-        self.leaves: list[str | None] = [None]
+        self.decision_count = 0
+        self.nodes = 1  # node 0 is the root (see DerivationTrace)
+        self.tree = record == "tree"
+        self.dot = record == "dot"
+        self.parents: Sequence[int] | None = None
+        self.kinds: list[str] | None = None
+        self.variables: list[int | None] | None = None
+        self.values: list[bool | None] | None = None
+        self.leaves: list[str | None] | None = None
+        if self.tree:
+            self.parents = [-1]
+            self.kinds = ["root"]
+            self.variables = [None]
+            self.values = [None]
+            self.leaves = [None]
+        elif self.dot:
+            self.parents = array("i", (-1,))
+            self.heads, self.ends = _dot_node_parts(f.variable_count)
+            # the node lines not yet joined into a chunk; only the newest
+            # can still be marked, so the others are finished
+            self.lines = [f"  n0{self.heads[0]}{self.ends[False, None]}"]
+            self.chunks: list[str] = []
+
+    def _mark(self, tip: int, start: int, leaf: str) -> None:
+        """Mark node ``tip`` as a ``leaf`` endpoint.  A conflict or a model
+        always marks the newest node, the tip of the propagation chain that
+        grew from node ``start``: ``start`` itself (the root or a decision)
+        when the chain is empty, and otherwise a propagation node, whose
+        literal is the newest on the trail."""
+        if self.tree:
+            self.leaves[tip] = leaf
+        elif self.dot:
+            lit = self.trail[-1] if tip else 0
+            self.lines[-1] = f"  n{tip}{self.heads[lit]}{self.ends[0 < tip == start, leaf]}"
 
     def _propagate(self, tip: int, head: int, units: Sequence[int] = ()) -> int | None:
         """Unit-propagate the trail from position ``head`` on, growing the
-        trace chain at ``tip``.
+        trace chain at node ``tip``, the newest node.
 
         The queue is the trail's tail from ``head`` on, taken first in,
         first out.  For each literal taken, the clauses holding its negation
@@ -540,8 +620,14 @@ class _DpllSearch:
         an UNSAT leaf).
         """
         value, trail, occ, clauses = self.value, self.trail, self.occ, self.clauses
-        parents, kinds, variables, values, leaves = (
-            self.parents, self.kinds, self.variables, self.values, self.leaves)
+        tree, dot = self.tree, self.dot
+        if tree:
+            parents, kinds, variables, values, leaves = (
+                self.parents, self.kinds, self.variables, self.values, self.leaves)
+        elif dot:
+            parents, lines, heads = self.parents, self.lines, self.heads
+            forced_end, refuted_end = self.ends[False, None], self.ends[False, "UNSAT"]
+        start, nodes = tip, self.nodes
         next_unit = 0
         while head < len(trail) or next_unit < len(units):
             if head < len(trail):
@@ -565,29 +651,40 @@ class _DpllSearch:
                     if not single:
                         # falsified; a retreat follows unless this conflict
                         # ends the whole search, which the final tally fixes
-                        leaves[tip] = "UNSAT"
+                        self.nodes = nodes
+                        self._mark(tip, start, "UNSAT")
                         self.conflict_seen += 1
                         return None
-                    var, positive = abs(single), single > 0
                     if len(cl) >= 3:
                         # no implication form: the excluded value is probed
                         # and refuted
-                        parents.append(tip)
-                        kinds.append("refutation")
-                        variables.append(var)
-                        values.append(not positive)
-                        leaves.append("UNSAT")
+                        if tree:
+                            parents.append(tip)
+                            kinds.append("refutation")
+                            variables.append(abs(single))
+                            values.append(single < 0)
+                            leaves.append("UNSAT")
+                        elif dot:
+                            parents.append(tip)
+                            lines.append(f"  n{nodes}{heads[-single]}{refuted_end}")
+                        nodes += 1
                         self.conflict_seen += 1
                         self.branch_count += 1
                     value[single] = True
                     value[-single] = False
                     trail.append(single)
-                    parents.append(tip)
-                    kinds.append("propagation")
-                    variables.append(var)
-                    values.append(positive)
-                    leaves.append(None)
-                    tip = len(parents) - 1
+                    if tree:
+                        parents.append(tip)
+                        kinds.append("propagation")
+                        variables.append(abs(single))
+                        values.append(single > 0)
+                        leaves.append(None)
+                    elif dot:
+                        parents.append(tip)
+                        lines.append(f"  n{nodes}{heads[single]}{forced_end}")
+                    tip = nodes
+                    nodes += 1
+        self.nodes = nodes
         return tip
 
     def _pick_variable(self, start: int) -> int | None:
@@ -663,8 +760,13 @@ class _DpllSearch:
         check is skipped once the parent level is not autarkic.
         """
         value, trail, order = self.value, self.trail, self.order
+        tree, dot = self.tree, self.dot
+        if dot:
+            heads, decision_end, lines = self.heads, self.ends[True, None], self.lines
+            chunk = DOT_CHUNK
         frames: list[tuple[int, int, int, int, bool]] = []
-        tip = self._propagate(0, 0, self.units)
+        decided = 0  # the node the newest propagation started from
+        tip = self._propagate(decided, 0, self.units)
         # the root level's parent is the empty assignment, an autarky
         autarkic, mark = True, 0
         pos: int | None = 0
@@ -674,7 +776,7 @@ class _DpllSearch:
                     autarkic = self._autarkic(mark)
                 pos = self._pick_variable(pos)
                 if pos is None:
-                    self.leaves[tip] = "SAT"
+                    self._mark(tip, decided, "SAT")
                     return True  # the trail is left in place as the model
                 lit, parent, mark = order[pos], tip, len(trail)
                 frames.append((lit, parent, mark, pos, autarkic))
@@ -694,15 +796,26 @@ class _DpllSearch:
                 self.branch_count += 1
                 lit = -lit
                 frames[-1] = (lit, parent, mark, pos, autarkic)
-            self.parents.append(parent)
-            self.kinds.append("decision")
-            self.variables.append(abs(lit))
-            self.values.append(lit > 0)
-            self.leaves.append(None)
+            decided = self.nodes
+            self.nodes = decided + 1
+            self.decision_count += 1
+            if tree:
+                self.parents.append(parent)
+                self.kinds.append("decision")
+                self.variables.append(abs(lit))
+                self.values.append(lit > 0)
+                self.leaves.append(None)
+            elif dot:
+                # no node before this one can be marked any more
+                if len(lines) >= chunk:
+                    self.chunks.append("".join(lines))
+                    lines.clear()
+                self.parents.append(parent)
+                lines.append(f"  n{decided}{heads[lit]}{decision_end}")
             value[lit] = True
             value[-lit] = False
             trail.append(lit)
-            tip = self._propagate(len(self.parents) - 1, mark)
+            tip = self._propagate(decided, mark)
 
     def run(self) -> tuple[SolveResult, DerivationTrace]:
         free: tuple[int, ...] = ()
@@ -718,24 +831,31 @@ class _DpllSearch:
             result = SolveResult(False, None, None)
             # the final conflict ends the run, so it is not a retreat
             backtracks = max(0, self.conflict_seen - 1)
+        dot_nodes = None
+        if self.dot:
+            dot_nodes = self.chunks
+            dot_nodes.append("".join(self.lines))
         trace = DerivationTrace(
-            parents=self.parents,
-            kinds=self.kinds,
-            variables=self.variables,
-            values=self.values,
-            leaves=self.leaves,
             result=result,
             heuristic=self.heuristic,
             branch_count=self.branch_count,
             backtrack_count=backtracks,
             free_variables=free,
             max_depth=max(self.max_depth, len(self.trail)),
+            total_nodes=self.nodes,
+            decision_count=self.decision_count,
+            parents=self.parents,
+            kinds=self.kinds,
+            variables=self.variables,
+            values=self.values,
+            leaves=self.leaves,
+            dot_nodes=dot_nodes,
         )
         return result, trace
 
 
 def dpll_solve(
-    f: CnfFormula, heuristic: str = "lowest-index"
+    f: CnfFormula, heuristic: str = "lowest-index", *, record: str = "tree"
 ) -> tuple[SolveResult, DerivationTrace]:
     """Complete backtracking search with unit propagation at every node.
 
@@ -747,10 +867,18 @@ def dpll_solve(
     is satisfied; variables never assigned are reported free.  UNSAT is
     declared once no decision is left to flip, or as soon as both values
     of a decision taken under an autarky have failed.
+
+    ``record`` says what the trace keeps of each node, for its consumer:
+    "tree" the five per-node lists, "dot" the parents and the DOT node
+    lines that ``trace_to_dot`` needs, and "counts" nothing (see
+    DerivationTrace).  The search and every counter are the same in each.
+    ``trace_to_dot`` raises ValueError on a trace not recorded as "dot".
     """
     if heuristic not in HEURISTICS:
         raise ValueError(f"unknown heuristic {heuristic!r}, expected one of {HEURISTICS}")
-    return _DpllSearch(f, heuristic).run()
+    if record not in RECORDS:
+        raise ValueError(f"unknown record {record!r}, expected one of {RECORDS}")
+    return _DpllSearch(f, heuristic, record).run()
 
 
 # ---------------------------------------------------------------------------
@@ -775,31 +903,20 @@ def implication_graph_to_dot(g: ImplicationGraph) -> str:
 
 
 def trace_to_dot(trace: DerivationTrace) -> str:
-    """Graphviz text for a derivation trace.
+    """Graphviz text for a derivation trace recorded with ``record="dot"``.
 
-    Decision nodes are double-circled, UNSAT leaves are filled, and node ids
-    are the trace's own (depth-first preorder), so the output is
-    deterministic.  A node's attributes depend only on its (kind, variable,
-    value, leaf), so each distinct combination is rendered once per call.
+    The search wrote the node lines (``_dot_node_parts``), so this joins
+    the header, those lines and one edge line per node after the root.
+    Decision nodes are double-circled, UNSAT leaves are filled, and node
+    ids are the trace's own (depth-first preorder), so the output is
+    deterministic.  Raises ValueError on a trace recorded without DOT.
     """
-    lines = ["digraph derivation_trace {", "  rankdir=TB;"]
-    rendered: dict[tuple, str] = {}
-    nodes = zip(trace.kinds, trace.variables, trace.values, trace.leaves)
-    for i, node in enumerate(nodes):
-        attrs = rendered.get(node)
-        if attrs is None:
-            kind, variable, value, leaf = node
-            label = "Start" if kind == "root" else f"x{variable}={'true' if value else 'false'}"
-            if leaf is not None:
-                label += f" ({leaf})"
-            attrs = f'label="{label}"'
-            if kind == "decision":
-                attrs += ", shape=doublecircle"
-            if leaf == "UNSAT":
-                attrs += ", style=filled"
-            rendered[node] = attrs
-        lines.append(f"  n{i} [{attrs}];")
+    if trace.dot_nodes is None:
+        raise ValueError('trace_to_dot needs a trace from dpll_solve(..., record="dot")')
     parents = trace.parents
-    lines += [f"  n{parents[i]} -> n{i};" for i in range(1, len(parents))]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    out = ["digraph derivation_trace {\n  rankdir=TB;\n", *trace.dot_nodes]
+    for low in range(1, len(parents), DOT_CHUNK):
+        edges = enumerate(parents[low:low + DOT_CHUNK], low)
+        out.append("".join([f"  n{parent} -> n{i};\n" for i, parent in edges]))
+    out.append("}\n")
+    return "".join(out)

@@ -557,6 +557,33 @@ def reference_dpll(clause_lists, n: int, heuristic: str) -> dict:
     }
 
 
+def reference_trace_dot(parents, kinds, variables, values, leaves) -> str:
+    """Graphviz text of a DPLL trace given as its five per-node lists.
+
+    One line per node in id order, ``  n<i> [label="..."];``, then one edge
+    line ``  n<parent> -> n<i>;`` per node after the root, between the
+    ``digraph derivation_trace {`` header with ``  rankdir=TB;`` and a
+    closing brace, every line ending in a newline.  The label is "Start" at
+    the root and ``x<variable>=true`` or ``=false`` elsewhere, followed by
+    `` (SAT)`` or `` (UNSAT)`` at a leaf.  A decision node adds
+    ``, shape=doublecircle`` and an UNSAT leaf ``, style=filled``.
+    """
+    lines = ["digraph derivation_trace {", "  rankdir=TB;"]
+    for i, (kind, variable, value, leaf) in enumerate(zip(kinds, variables, values, leaves)):
+        label = "Start" if kind == "root" else f"x{variable}={'true' if value else 'false'}"
+        if leaf is not None:
+            label += f" ({leaf})"
+        attrs = f'label="{label}"'
+        if kind == "decision":
+            attrs += ", shape=doublecircle"
+        if leaf == "UNSAT":
+            attrs += ", style=filled"
+        lines.append(f"  n{i} [{attrs}];")
+    lines += [f"  n{parents[i]} -> n{i};" for i in range(1, len(parents))]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # Graph problems
 # ---------------------------------------------------------------------------

@@ -25,24 +25,28 @@ CHAIN = "p cnf 3 2\n-1 2 0\n-2 3 0\n"
 WIDE = "p cnf 3 1\n-1 -2 3 0\n"
 
 
-def run_cli(*args, env_extra=None, stdin_text=None, binary=False, **run_options):
+def _cli_env(env_extra=None):
     env = os.environ.copy()
     env.pop("CDFSAT_CAP", None)
     env.pop("CDFSAT_THETA", None)
     if env_extra:
         env.update(env_extra)
+    return env
+
+
+def run_cli(*args, env_extra=None, stdin_text=None, binary=False, **run_options):
     return subprocess.run(
         [sys.executable, "-m", "cdfsat.cli", *args],
         capture_output=True,
         text=not binary,
-        env=env,
+        env=_cli_env(env_extra),
         input=stdin_text,
         **run_options,
     )
 
 
-def _cap_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+def _cap_address_space(mib=1024):
+    resource.setrlimit(resource.RLIMIT_AS, (mib << 20, mib << 20))
 
 
 def _refuse_constant(name):
@@ -194,6 +198,17 @@ class TestAnalyze:
                                        "log2Count": None, "representation": "count-only"}
         assert report["logic"]["dpll"]["result"] == "UNSAT"
         assert report["logic"]["twoSat"]["result"] == "UNSAT"
+
+    def test_long_search_keeps_no_tree(self):
+        # 3,453,523 search nodes: keeping the tree raised MemoryError at 128
+        # and 192 MiB, and the report needs only the search's counters
+        text = write_dimacs(generate_random_ksat(110, 469, 3, 3))
+        proc = run_cli("analyze", "-", "--quiet", stdin_text=text, timeout=60,
+                       preexec_fn=lambda: _cap_address_space(128))
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 0
+        dpll = json.loads(proc.stdout, parse_constant=_refuse_constant)["logic"]["dpll"]
+        assert (dpll["result"], dpll["nodeCount"]) == ("UNSAT", 3453523)
 
 
 def _analyze_in_process(text: str, *options: str) -> tuple[int, dict]:
@@ -751,6 +766,34 @@ class TestExportDot:
         assert dot.returncode == 0, dot.stderr
         assert dot.stdout.count(" [label=") == n + 1
         assert elapsed < 5.0, f"budget exceeded: {elapsed:.2f}s >= 5.0s"
+
+    def test_long_trace_fits_the_cap(self, tmp_path):
+        # 4,640,823 search nodes and 309,844,122 bytes of DOT: rendering the
+        # stored tree raised MemoryError under this cap.  The text is read
+        # in pieces, so that only the child holds all of it.
+        path = tmp_path / "n120.cnf"
+        path.write_text(write_dimacs(generate_random_ksat(120, 511, 3, 120)))
+        with subprocess.Popen([sys.executable, "-m", "cdfsat.cli", "export-dot", "trace",
+                               str(path)], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=_cli_env(), preexec_fn=_cap_address_space) as proc:
+            size = lines = 0
+            head = piece = proc.stdout.read(1 << 16)
+            tail = b""
+            while piece:
+                size += len(piece)
+                lines += piece.count(b"\n")
+                tail = (tail + piece)[-2:]
+                piece = proc.stdout.read(1 << 20)
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+        assert "Traceback" not in err
+        assert code == 0
+        assert head.startswith(b"digraph derivation_trace {\n")
+        assert tail == b"}\n"
+        assert size == 309844122
+        # the header, a node line and an edge line per node but the root's,
+        # and the closing brace
+        assert lines == 2 * 4640823 + 2
 
     def test_wide_clause_has_no_implication_graph(self, wide_file):
         proc = run_cli("export-dot", "implication-graph", wide_file)

@@ -4,9 +4,10 @@ import re
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cdfsat import logic
 from cdfsat.formula import clause, formula, generate_random_ksat, parse_dimacs, satisfies
 from cdfsat.logic import (
     HEURISTICS,
@@ -31,6 +32,7 @@ from _oracles import (
     naive_unit_closure,
     reference_2sat,
     reference_dpll,
+    reference_trace_dot,
     rescan_unit_propagate,
 )
 
@@ -485,7 +487,7 @@ class TestDpll:
                 node = tr.parents[node]
             assert path == res.model
             assert satisfies(f, path)
-        dot = trace_to_dot(tr)
+        dot = trace_to_dot(dpll_solve(f, heuristic=heuristic, record="dot")[1])
         assert dot.count(" [label=") == n
         assert dot.count(" -> ") == n - 1
 
@@ -499,7 +501,7 @@ class TestDpll:
         assert tr.node_count() == n + 1
         assert tr.depth() == n
         assert tr.to_json_dict()["depth"] == n
-        dot = trace_to_dot(tr)
+        dot = trace_to_dot(dpll_solve(f, record="dot")[1])
         assert f'  n{n} [label="x{n}=true (SAT)"];' in dot
         assert f"  n{n - 1} -> n{n};" in dot
 
@@ -564,6 +566,50 @@ class TestDpll:
         assert "root" not in d  # the tree itself stays out of the JSON
 
 
+def _case(clause_lists, n):
+    return formula(clause_lists, n), clause_lists
+
+
+class TestRecords:
+    """The record modes run one search and differ only in what they keep."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(mixed_cnf(), free_clauses_then_core()), st.sampled_from(HEURISTICS))
+    @example(_case([[1], [-1]], 1), "lowest-index")  # a conflict at the root node
+    @example(_case([[1], [-1, 2], [-1, -2, 3]], 3), "lowest-index")  # settled at the root
+    @example(_case([[1], [2], [-1, -2, 3], [-3]], 3), "most-occurrences")  # refuted there
+    @example(_case([], 2), "lowest-index")  # SAT at the root node
+    def test_every_record_gives_the_tree_search(self, case, heuristic):
+        f, _ = case
+        res, tree = dpll_solve(f, heuristic=heuristic)
+        assert tree.decision_count == tree.kinds.count("decision")
+        expected = (res, tree.node_count(), tree.branch_count, tree.backtrack_count,
+                    tree.depth(), tree.free_variables, tree.decision_count)
+        dot = reference_trace_dot(tree.parents, tree.kinds, tree.variables, tree.values,
+                                  tree.leaves)
+        # a chunk of one or two lines makes small searches flush as well
+        for chunk in (1, 2, logic.DOT_CHUNK):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(logic, "DOT_CHUNK", chunk)
+                for record in ("dot", "counts"):
+                    other_res, other = dpll_solve(f, heuristic=heuristic, record=record)
+                    assert (other_res, other.node_count(), other.branch_count,
+                            other.backtrack_count, other.depth(), other.free_variables,
+                            other.decision_count) == expected
+                    if record == "dot":
+                        assert trace_to_dot(other) == dot
+                    else:
+                        assert other.parents is None and other.dot_nodes is None
+                        with pytest.raises(ValueError, match='record="dot"'):
+                            trace_to_dot(other)
+        with pytest.raises(ValueError, match='record="dot"'):
+            trace_to_dot(tree)
+
+    def test_unknown_record_rejected(self):
+        with pytest.raises(ValueError, match="unknown record"):
+            dpll_solve(formula([[1]], 1), record="lines")
+
+
 NODE_LINE = re.compile(r'  n(\d+) \[label="([^"]*)"(, shape=doublecircle)?(, style=filled)?\];')
 EDGE_LINE = re.compile(r"  n(\d+) -> n(\d+);")
 
@@ -578,7 +624,7 @@ class TestDotExport:
         assert dot == implication_graph_to_dot(g)
 
     def test_trace_dot_marks_decisions_and_conflicts(self):
-        _, tr = dpll_solve(formula([[-1, -2, 3]], 3))
+        _, tr = dpll_solve(formula([[-1, -2, 3]], 3), record="dot")
         dot = trace_to_dot(tr)
         assert 'label="Start"' in dot
         assert 'label="x1=true", shape=doublecircle' in dot
@@ -590,7 +636,8 @@ class TestDotExport:
     @given(mixed_cnf(), st.sampled_from(HEURISTICS))
     def test_trace_dot_parses_back_to_the_trace(self, case, heuristic):
         _, tr = dpll_solve(case[0], heuristic=heuristic)
-        lines = trace_to_dot(tr).split("\n")
+        _, drawn = dpll_solve(case[0], heuristic=heuristic, record="dot")
+        lines = trace_to_dot(drawn).split("\n")
         assert lines[:2] == ["digraph derivation_trace {", "  rankdir=TB;"]
         assert lines[-2:] == ["}", ""]
         nodes, edges = [], []

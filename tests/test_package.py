@@ -126,11 +126,12 @@ def test_benchmark_tracer_installs_and_counts(monkeypatch, capsys):
     # perfbench/tracing.py imports package members and wraps others by the
     # module attributes their callers look them up through, so a deleted or
     # renamed member would break the benchmark before it measures anything.
-    # Its observers read the trace's depth() and node_count() and count the
-    # nodes in trace_to_dot's text, so a changed result breaks it as well.
+    # Its observers read the trace's counters, depth() and node_count() and
+    # count the nodes in trace_to_dot's text, so a changed result breaks it
+    # as well.
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    from cdfsat import cli
+    from cdfsat import cli, logic
 
     data = ROOT / "tests" / "data"
     chain = str(data / "implication_chain.cnf")
@@ -149,6 +150,11 @@ def test_benchmark_tracer_installs_and_counts(monkeypatch, capsys):
             searched = dict(tracer.counters)
             assert cli.main(["export-dot", "trace", wide]) == 0
             dot = capsys.readouterr().out
+            emitted = tracer.nodes_emitted
+            # a chunk of one line: every decision joins the lines before it
+            monkeypatch.setattr(logic, "DOT_CHUNK", 1)
+            assert cli.main(["export-dot", "trace", wide]) == 0
+            assert capsys.readouterr().out == dot
         finally:
             tracer.restore()
     finally:
@@ -158,5 +164,8 @@ def test_benchmark_tracer_installs_and_counts(monkeypatch, capsys):
     assert (report["nodeCount"], report["depth"]) == (5, 3)
     assert searched["logic.dpll.trace_nodes"] == report["nodeCount"]
     assert searched["logic.dpll.depth"] == report["depth"]
+    assert searched["logic.dpll.branches"] == report["branchCount"]
+    assert searched["logic.dpll.backtracks"] == report["backtrackCount"]
     assert dot.startswith("digraph derivation_trace {")
-    assert tracer.nodes_emitted == report["nodeCount"]
+    assert emitted == report["nodeCount"]
+    assert tracer.nodes_emitted - emitted == report["nodeCount"]

@@ -24,9 +24,12 @@ numbers and exit codes are compared as well.  Then ``analyze -`` and
 ``export-dot trace -`` run on each of the VALID_DIMACS texts, which
 ``parse_dimacs`` accepts although they are not in the form that
 ``write_dimacs`` writes, then the PROVE_COMMANDS, so that every command
-that writes a JSON report is compared, and last ``analyze -`` and
-``growth`` on formulas past the counting cap (see ``_past_cap_corpus``):
-2487 commands in all at seeds 7 and 3.
+that writes a JSON report is compared, then ``analyze -`` and
+``growth`` on formulas past the counting cap (see ``_past_cap_corpus``),
+and last ``analyze -`` and ``export-dot trace -``, under both heuristics,
+on random 3-SAT formulas whose search trees mostly span several chunks
+of DOT node lines (see ``_large_tree_corpus``): 2503 commands in all at
+seeds 7 and 3.
 Each checkout then runs all of them in-process through its own
 ``cdfsat.cli.main``, in one subprocess per checkout, with stdin, stdout
 and stderr held in memory; a piped command reads the stdout of its
@@ -58,6 +61,7 @@ OTHER_HEURISTIC = ("--heuristic", "most-occurrences")
 CORPUS_SIZE = 500
 NARROW_CORPUS_SIZE = 300
 PAST_CAP_SEEDS = 5
+LARGE_TREE_SEEDS = (1, 2, 3, 5)
 # (label, DIMACS text): each is refused with a "cdfsat: error:" line, exit 1.
 MALFORMED_DIMACS = (
     ("bad token", "p cnf 3 2\n1 2 0\n-3 x 0\n"),
@@ -291,6 +295,23 @@ def _past_cap_corpus(workloads) -> list:
     return commands
 
 
+def _large_tree_corpus(workloads) -> list:
+    """``analyze -`` and ``export-dot trace -`` on random 3-SAT at n = 60,
+    m = 256, whose search trees are thousands of nodes: seeds 1-3 are
+    refuted (63289, 129027 and 110481 nodes under the default heuristic)
+    and seed 5 is satisfiable (16885 nodes).  Most of these trees span
+    several chunks of DOT node lines (``cdfsat.logic.DOT_CHUNK``)."""
+    from cdfsat.formula import generate_random_ksat, write_dimacs
+
+    commands = []
+    for seed in LARGE_TREE_SEEDS:
+        text = write_dimacs(generate_random_ksat(60, 256, 3, seed))
+        for argv in (("analyze", "-"), ("export-dot", "trace", "-")):
+            label = f"{' '.join(argv[:-1])} 3-SAT n=60 m=256 seed {seed}"
+            commands.append(workloads.Command(label, argv, None, stdin=text))
+    return commands
+
+
 def _changed_lines(theirs: str, mine: str) -> list[str]:
     """The first MAX_DIFF_LINES removed (-) and added (+) lines, indented."""
     diff = difflib.unified_diff(theirs.splitlines(), mine.splitlines(), n=0, lineterm="")
@@ -330,6 +351,7 @@ def main(argv: list[str] | None = None) -> int:
     runs.append(("prove", [workloads.Command(" ".join(argv), argv, None, stdin=text)
                            for argv, text in PROVE_COMMANDS]))
     runs.append(("past the cap", _past_cap_corpus(workloads)))
+    runs.append(("large trees", _with_twins(_large_tree_corpus(workloads))))
     payload = json.dumps([[[list(c.argv), c.stdin, c.pipe_from] for c in commands]
                           for _, commands in runs])
     here, other = _results(ROOT, payload), _results(args.other, payload)
