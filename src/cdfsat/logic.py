@@ -64,12 +64,11 @@ subtree below an autarky, so the cut leaves SAT traces unchanged.
 
 The search tree is numbered in depth-first preorder, and the search keeps
 of it only what its caller consumes, chosen by ``dpll_solve``'s
-``record``: the whole tree as flat parallel per-node lists (parent, kind,
-variable, value, leaf), or the parents and the tree's DOT node lines,
-written as each node is made, or no node at all.  The search loop is one
-and the same in every case, and so are its counters: nodes, decisions,
-branches, backtracks and the depth.  No step recurses, however deep the
-search goes.  A mark (a conflict or a model) always lands on the newest
+``record``: the parents and the tree's DOT node lines, written as each
+node is made, or no node at all.  The search loop is one and the same in
+both cases, and so are its counters: nodes, decisions, branches,
+backtracks and the depth.  No step recurses, however deep the search
+goes.  A mark (a conflict or a model) always lands on the newest
 node, so a node's DOT line is final once a newer node exists.  At each
 decision, once ``DOT_CHUNK`` finished lines or more are waiting, they are
 joined into one string, so a long search holds a few large strings rather
@@ -450,7 +449,7 @@ def solve_2sat(f: CnfFormula) -> SolveResult:
 
 HEURISTICS = ("lowest-index", "most-occurrences")
 # what a search records per node, for the caller that consumes it
-RECORDS = ("tree", "dot", "counts")
+RECORDS = ("dot", "counts")
 # the least number of finished DOT node lines joined into one string
 DOT_CHUNK = 4096
 
@@ -459,7 +458,7 @@ DOT_CHUNK = 4096
 class DerivationTrace:
     """Search tree of one dpll_solve run plus its effort counters.
 
-    Every record mode fills the counters.  node_count() is the number of
+    Both record modes fill the counters.  node_count() is the number of
     nodes of the search tree, decision_count the number of decision nodes
     among them.  branch_count counts branch points explored both ways:
     decisions whose second value was tried, and refutation pairs (the
@@ -475,18 +474,13 @@ class DerivationTrace:
     depth-first preorder, so every parent precedes its children.  The tree
     itself is kept only as far as the record mode asks:
 
-    * "tree" fills five parallel lists indexed by node id.  ``parents``
-      holds each node's parent (the root's is -1, and ``parents[i] < i``);
-      ``kinds`` holds "root" for the start marker, "decision" for a
-      heuristic choice, "propagation" for a forcing and "refutation" for
-      the probed-and-excluded value of a width->=3 forcing; ``variables``
-      and ``values`` give the assignment a node makes (None at the root);
-      ``leaves`` marks a node as a "SAT" or "UNSAT" endpoint of its branch,
-      or None.  ``dot_nodes`` is None.
-    * "dot" fills ``parents``, as an ``array('i')`` of 4 bytes per node,
-      and ``dot_nodes``, the tree's DOT node lines in order, joined into
-      chunks (see ``trace_to_dot``).  The other four lists are None.
-    * "counts" keeps no node: the five lists and ``dot_nodes`` are None.
+    * "dot" fills ``parents``, each node's parent as an ``array('i')`` of
+      4 bytes per node (the root's is -1, and ``parents[i] < i``), and
+      ``dot_nodes``, the tree's DOT node lines in order, joined into chunks
+      (see ``trace_to_dot``).  A node's line carries the assignment it
+      makes ("Start" at the root), whether it is a decision, and its leaf
+      mark, "SAT" or "UNSAT", if it ends a branch.
+    * "counts" keeps no node: ``parents`` and ``dot_nodes`` are None.
     """
 
     result: SolveResult
@@ -498,10 +492,6 @@ class DerivationTrace:
     total_nodes: int
     decision_count: int
     parents: Sequence[int] | None = None
-    kinds: list[str] | None = None
-    variables: list[int | None] | None = None
-    values: list[bool | None] | None = None
-    leaves: list[str | None] | None = None
     dot_nodes: list[str] | None = None
 
     def node_count(self) -> int:
@@ -572,20 +562,9 @@ class _DpllSearch:
         self.conflict_seen = 0
         self.decision_count = 0
         self.nodes = 1  # node 0 is the root (see DerivationTrace)
-        self.tree = record == "tree"
         self.dot = record == "dot"
         self.parents: Sequence[int] | None = None
-        self.kinds: list[str] | None = None
-        self.variables: list[int | None] | None = None
-        self.values: list[bool | None] | None = None
-        self.leaves: list[str | None] | None = None
-        if self.tree:
-            self.parents = [-1]
-            self.kinds = ["root"]
-            self.variables = [None]
-            self.values = [None]
-            self.leaves = [None]
-        elif self.dot:
+        if self.dot:
             self.parents = array("i", (-1,))
             self.heads, self.ends = _dot_node_parts(f.variable_count)
             # the node lines not yet joined into a chunk; only the newest
@@ -599,9 +578,7 @@ class _DpllSearch:
         grew from node ``start``: ``start`` itself (the root or a decision)
         when the chain is empty, and otherwise a propagation node, whose
         literal is the newest on the trail."""
-        if self.tree:
-            self.leaves[tip] = leaf
-        elif self.dot:
+        if self.dot:
             lit = self.trail[-1] if tip else 0
             self.lines[-1] = f"  n{tip}{self.heads[lit]}{self.ends[0 < tip == start, leaf]}"
 
@@ -620,11 +597,8 @@ class _DpllSearch:
         an UNSAT leaf).
         """
         value, trail, occ, clauses = self.value, self.trail, self.occ, self.clauses
-        tree, dot = self.tree, self.dot
-        if tree:
-            parents, kinds, variables, values, leaves = (
-                self.parents, self.kinds, self.variables, self.values, self.leaves)
-        elif dot:
+        dot = self.dot
+        if dot:
             parents, lines, heads = self.parents, self.lines, self.heads
             forced_end, refuted_end = self.ends[False, None], self.ends[False, "UNSAT"]
         start, nodes = tip, self.nodes
@@ -658,13 +632,7 @@ class _DpllSearch:
                     if len(cl) >= 3:
                         # no implication form: the excluded value is probed
                         # and refuted
-                        if tree:
-                            parents.append(tip)
-                            kinds.append("refutation")
-                            variables.append(abs(single))
-                            values.append(single < 0)
-                            leaves.append("UNSAT")
-                        elif dot:
+                        if dot:
                             parents.append(tip)
                             lines.append(f"  n{nodes}{heads[-single]}{refuted_end}")
                         nodes += 1
@@ -673,13 +641,7 @@ class _DpllSearch:
                     value[single] = True
                     value[-single] = False
                     trail.append(single)
-                    if tree:
-                        parents.append(tip)
-                        kinds.append("propagation")
-                        variables.append(abs(single))
-                        values.append(single > 0)
-                        leaves.append(None)
-                    elif dot:
+                    if dot:
                         parents.append(tip)
                         lines.append(f"  n{nodes}{heads[single]}{forced_end}")
                     tip = nodes
@@ -760,7 +722,7 @@ class _DpllSearch:
         check is skipped once the parent level is not autarkic.
         """
         value, trail, order = self.value, self.trail, self.order
-        tree, dot = self.tree, self.dot
+        dot = self.dot
         if dot:
             heads, decision_end, lines = self.heads, self.ends[True, None], self.lines
             chunk = DOT_CHUNK
@@ -799,13 +761,7 @@ class _DpllSearch:
             decided = self.nodes
             self.nodes = decided + 1
             self.decision_count += 1
-            if tree:
-                self.parents.append(parent)
-                self.kinds.append("decision")
-                self.variables.append(abs(lit))
-                self.values.append(lit > 0)
-                self.leaves.append(None)
-            elif dot:
+            if dot:
                 # no node before this one can be marked any more
                 if len(lines) >= chunk:
                     self.chunks.append("".join(lines))
@@ -845,17 +801,13 @@ class _DpllSearch:
             total_nodes=self.nodes,
             decision_count=self.decision_count,
             parents=self.parents,
-            kinds=self.kinds,
-            variables=self.variables,
-            values=self.values,
-            leaves=self.leaves,
             dot_nodes=dot_nodes,
         )
         return result, trace
 
 
 def dpll_solve(
-    f: CnfFormula, heuristic: str = "lowest-index", *, record: str = "tree"
+    f: CnfFormula, heuristic: str = "lowest-index", *, record: str = "counts"
 ) -> tuple[SolveResult, DerivationTrace]:
     """Complete backtracking search with unit propagation at every node.
 
@@ -869,9 +821,9 @@ def dpll_solve(
     of a decision taken under an autarky have failed.
 
     ``record`` says what the trace keeps of each node, for its consumer:
-    "tree" the five per-node lists, "dot" the parents and the DOT node
-    lines that ``trace_to_dot`` needs, and "counts" nothing (see
-    DerivationTrace).  The search and every counter are the same in each.
+    "dot" the parents and the DOT node lines that ``trace_to_dot`` needs,
+    and "counts", the default, nothing (see DerivationTrace).  The search
+    and every counter are the same in both.
     ``trace_to_dot`` raises ValueError on a trace not recorded as "dot".
     """
     if heuristic not in HEURISTICS:

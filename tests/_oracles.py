@@ -9,6 +9,7 @@ enumeration stays honest.
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 
@@ -582,6 +583,42 @@ def reference_trace_dot(parents, kinds, variables, values, leaves) -> str:
     lines += [f"  n{parents[i]} -> n{i};" for i in range(1, len(parents))]
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+_TRACE_NODE_LINE = re.compile(
+    r'^  n\d+ \[label="(?:Start|x(\d+)=(true|false))(?: \((SAT|UNSAT)\))?"'
+    r"(, shape=doublecircle)?(?:, style=filled)?\];$",
+    re.MULTILINE,
+)
+_TRACE_EDGE_LINE = re.compile(r"^  n(\d+) -> n\d+;$", re.MULTILINE)
+
+
+def read_trace_dot(text: str) -> dict:
+    """The per-node lists of a DPLL trace read back from its Graphviz text,
+    the inverse of ``reference_trace_dot``.
+
+    Returns "parents", "variables", "values" and "leaves" as that function
+    takes them, and "decisions", True at a decision node.  The text tells a
+    decision from the other nodes, but not a propagation from a
+    refutation, so no kinds are read.  Raises ValueError unless
+    ``reference_trace_dot`` renders the lists read back to ``text`` itself:
+    node ids, edge order, header and closing brace must all be as it writes
+    them.
+    """
+    nodes = _TRACE_NODE_LINE.findall(text)
+    lists = {
+        "parents": [-1] + [int(parent) for parent in _TRACE_EDGE_LINE.findall(text)],
+        "decisions": [bool(shape) for _, _, _, shape in nodes],
+        "variables": [int(variable) if variable else None for variable, _, _, _ in nodes],
+        "values": [value == "true" if value else None for _, value, _, _ in nodes],
+        "leaves": [leaf or None for _, _, leaf, _ in nodes],
+    }
+    kinds = ["root"] + ["decision" if d else "propagation" for d in lists["decisions"][1:]]
+    rendered = reference_trace_dot(lists["parents"], kinds, lists["variables"],
+                                   lists["values"], lists["leaves"])
+    if rendered != text:
+        raise ValueError("not the Graphviz text of a DPLL trace")
+    return lists
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from _oracles import (
     model_masks,
     partial_formula_satisfied,
     perfect_matchings,
+    read_trace_dot,
 )
 
 from cdfsat.analysis import check_compositionality, classify, measure_growth
@@ -43,6 +44,7 @@ from cdfsat.logic import (
     dpll_solve,
     propagate_closure,
     solve_2sat,
+    trace_to_dot,
     unit_propagate,
 )
 from cdfsat.proofs import (
@@ -244,14 +246,16 @@ def test_criterion_07_worked_examples():
         assert classify(CHAIN).verdict == "ComCDF"
 
         assert classify(WIDE).verdict == "ExpCDF"
-        _, wide_trace = dpll_solve(WIDE)
+        _, wide_trace = dpll_solve(WIDE, record="dot")
+        # each node's assignment and leaf mark, as its DOT line shows them
+        drawn = read_trace_dot(trace_to_dot(wide_trace))
         # node i's path extends its parent's; parents precede children
         paths: list[dict] = [{}]
         for i in range(1, wide_trace.node_count()):
             parent = paths[wide_trace.parents[i]]
-            paths.append({**parent, wide_trace.variables[i]: wide_trace.values[i]})
+            paths.append({**parent, drawn["variables"][i]: drawn["values"][i]})
         unsat_paths = [
-            path for path, leaf in zip(paths, wide_trace.leaves) if leaf == "UNSAT"
+            path for path, leaf in zip(paths, drawn["leaves"]) if leaf == "UNSAT"
         ]
         assert unsat_paths == [{1: True, 2: True, 3: False}]
     print(f"criterion 7 PASS: worked examples reproduce ({b.elapsed:.2f}s)")

@@ -30,6 +30,7 @@ from _oracles import (
     is_satisfiable,
     naive_reachable,
     naive_unit_closure,
+    read_trace_dot,
     reference_2sat,
     reference_dpll,
     reference_trace_dot,
@@ -123,25 +124,35 @@ def free_clauses_then_core(draw):
 
 
 def assert_matches_reference_search(f, clause_lists, heuristic):
-    res, tr = dpll_solve(f, heuristic=heuristic)
+    """Both records of the search against ``reference_dpll``: the result
+    and every counter, and the DOT text of a "dot" search against the
+    reference tree's rendering."""
     ref = reference_dpll(clause_lists, f.variable_count, heuristic)
-    assert tr.parents == ref["parents"]
-    assert tr.kinds == ref["kinds"]
-    assert tr.variables == ref["variables"]
-    assert tr.values == ref["values"]
-    assert tr.leaves == ref["leaves"]
-    assert res.satisfiable == ref["satisfiable"]
-    assert res.model == ref["model"]
-    assert tr.branch_count == ref["branch_count"]
-    assert tr.backtrack_count == ref["backtrack_count"]
-    assert tr.free_variables == ref["free_variables"]
     # the stored depth is the longest root-to-leaf path of the reference tree
     parents = ref["parents"]
     depths = [0] * len(parents)
     for i in range(1, len(parents)):
         depths[i] = depths[parents[i]] + 1
-    assert tr.depth() == max(depths)
+    for record in logic.RECORDS:
+        res, tr = dpll_solve(f, heuristic=heuristic, record=record)
+        assert res.satisfiable == ref["satisfiable"]
+        assert res.model == ref["model"]
+        assert tr.node_count() == len(parents)
+        assert tr.decision_count == ref["kinds"].count("decision")
+        assert tr.branch_count == ref["branch_count"]
+        assert tr.backtrack_count == ref["backtrack_count"]
+        assert tr.free_variables == ref["free_variables"]
+        assert tr.depth() == max(depths)
+        if record == "dot":
+            lists = (ref[key] for key in ("parents", "kinds", "variables", "values", "leaves"))
+            assert trace_to_dot(tr) == reference_trace_dot(*lists)
     return res
+
+
+def drawn_search(f, heuristic="lowest-index"):
+    """A "dot" search of ``f``, with its tree's lists read from the DOT text."""
+    res, tr = dpll_solve(f, heuristic=heuristic, record="dot")
+    return res, tr, read_trace_dot(trace_to_dot(tr))
 
 
 class TestImplications:
@@ -386,45 +397,47 @@ class TestSolve2Sat:
 class TestDpll:
     def test_chain_is_backtrack_free(self):
         f = formula([[-1, 2], [-2, 3]], 3)
-        res, tr = dpll_solve(f)
+        res, tr, drawn = drawn_search(f)
         assert res.satisfiable
         assert tr.backtrack_count == 0
         assert tr.branch_count == 0
-        assert tr.leaves.count("UNSAT") == 0
+        assert drawn["leaves"].count("UNSAT") == 0
         # linear chain: decision on x, then propagation of y and z
-        assert tr.parents == [-1, 0, 1, 2]
-        assert tr.kinds == ["root", "decision", "propagation", "propagation"]
-        assert tr.leaves[-1] == "SAT"
+        assert drawn["parents"] == [-1, 0, 1, 2]
+        assert drawn["decisions"] == [False, True, False, False]
+        assert drawn["leaves"][-1] == "SAT"
 
     def test_wide_example_single_refutation_leaf(self):
         f = formula([[-1, -2, 3]], 3)
-        res, tr = dpll_solve(f)
+        res, tr, drawn = drawn_search(f)
         assert res.satisfiable
-        assert tr.leaves.count("UNSAT") == 1
+        assert drawn["leaves"].count("UNSAT") == 1
         assert tr.branch_count == 1
         assert tr.backtrack_count == 1
         # the only UNSAT leaf sits at x=T, y=T, z=F
         x, y, refutation, forced = 1, 2, 3, 4
-        assert tr.parents == [-1, 0, x, y, y]
-        assert (tr.variables[x], tr.values[x], tr.kinds[x]) == (1, True, "decision")
-        assert (tr.variables[y], tr.values[y], tr.kinds[y]) == (2, True, "decision")
-        assert (tr.variables[refutation], tr.values[refutation]) == (3, False)
-        assert tr.kinds[refutation] == "refutation"
-        assert tr.leaves[refutation] == "UNSAT"
-        assert (tr.variables[forced], tr.values[forced], tr.leaves[forced]) == (3, True, "SAT")
+        assert drawn["parents"] == [-1, 0, x, y, y]
+        node = [(drawn["variables"][i], drawn["values"][i], drawn["decisions"][i],
+                 drawn["leaves"][i]) for i in range(tr.node_count())]
+        assert node[x] == (1, True, True, None)
+        assert node[y] == (2, True, True, None)
+        # the refutation is a non-decision x3=false (UNSAT) leaf under y, and
+        # its sibling the forced x3=true (SAT)
+        assert node[refutation] == (3, False, False, "UNSAT")
+        assert node[forced] == (3, True, False, "SAT")
 
     def test_unit_contradiction(self):
-        res, tr = dpll_solve(formula([[1], [-1]], 1))
+        res, tr, drawn = drawn_search(formula([[1], [-1]], 1))
         assert not res.satisfiable
-        assert tr.leaves.count("UNSAT") == 1
+        assert drawn["leaves"].count("UNSAT") == 1
         assert tr.backtrack_count == 0
         assert tr.branch_count == 0
 
     def test_two_variable_unsat(self, data_dir):
         f = parse_dimacs((data_dir / "unsat_pair.cnf").read_text())
-        res, tr = dpll_solve(f)
+        res, tr, drawn = drawn_search(f)
         assert not res.satisfiable
-        assert tr.leaves.count("UNSAT") == 2  # both x branches die
+        assert drawn["leaves"].count("UNSAT") == 2  # both x branches die
         assert tr.backtrack_count == 1
         assert tr.branch_count == 1
 
@@ -442,52 +455,55 @@ class TestDpll:
     def test_most_occurrences_picks_busiest_variable(self):
         # x3 occurs in three clauses, x1 in one
         f = formula([[1, 3], [2, 3], [-3, 2], [4, 2]], 4)
-        _, tr = dpll_solve(f, heuristic="most-occurrences")
-        first = tr.parents.index(0)  # the root's first child
-        assert tr.kinds[first] == "decision"
-        assert tr.variables[first] in (2, 3)  # both occur three times; tie -> lowest
-        assert tr.variables[first] == 2
+        _, _, drawn = drawn_search(f, heuristic="most-occurrences")
+        first = drawn["parents"].index(0)  # the root's first child
+        assert drawn["decisions"][first]
+        assert drawn["variables"][first] in (2, 3)  # both occur three times; tie -> lowest
+        assert drawn["variables"][first] == 2
 
     @settings(max_examples=100, deadline=None)
     @given(random_3cnf(), st.sampled_from(HEURISTICS))
     def test_matches_brute_force(self, f, heuristic):
         lists = [cl.literals for cl in f.clauses]
-        res, tr = dpll_solve(f, heuristic=heuristic)
+        res, tr, drawn = drawn_search(f, heuristic=heuristic)
         assert res.satisfiable == fast_satisfiable(lists, f.variable_count)
         if res.satisfiable:
             assert satisfies(f, res.model)
         assert tr.branch_count >= tr.backtrack_count
+        conflicts = drawn["leaves"].count("UNSAT")
         if res.satisfiable:
-            assert tr.backtrack_count == tr.leaves.count("UNSAT")
+            assert tr.backtrack_count == conflicts
         else:
-            assert tr.backtrack_count == max(0, tr.leaves.count("UNSAT") - 1)
+            assert tr.backtrack_count == max(0, conflicts - 1)
 
     @settings(max_examples=100, deadline=None)
     @given(random_3cnf(), st.sampled_from(HEURISTICS))
     def test_flat_trace_is_a_preorder_tree(self, f, heuristic):
-        res, tr = dpll_solve(f, heuristic=heuristic)
+        res, tr, drawn = drawn_search(f, heuristic=heuristic)
         n = tr.node_count()
-        assert tr.parents[0] == -1 and tr.kinds[0] == "root"
-        assert all(tr.parents[i] < i for i in range(1, n))
+        parents = list(tr.parents)
+        assert parents == drawn["parents"]
+        assert parents[0] == -1 and drawn["variables"][0] is None  # the root
+        assert all(parents[i] < i for i in range(1, n))
         # preorder: each node hangs off the path from the root to its predecessor
         path_nodes = [0]
         for i in range(1, n):
-            while path_nodes and path_nodes[-1] != tr.parents[i]:
+            while path_nodes and path_nodes[-1] != parents[i]:
                 path_nodes.pop()
             assert path_nodes, f"node {i} breaks depth-first preorder"
             path_nodes.append(i)
-        assert len(tr.kinds) == len(tr.variables) == len(tr.values) == len(tr.leaves) == n
-        sat_leaves = [i for i, leaf in enumerate(tr.leaves) if leaf == "SAT"]
+        assert all(len(drawn[key]) == n for key in ("decisions", "variables", "values", "leaves"))
+        sat_leaves = [i for i, leaf in enumerate(drawn["leaves"]) if leaf == "SAT"]
         assert len(sat_leaves) == (1 if res.satisfiable else 0)
         if res.satisfiable:
             path: dict[int, bool] = {}
             node = sat_leaves[0]
             while node > 0:
-                path[tr.variables[node]] = tr.values[node]
-                node = tr.parents[node]
+                path[drawn["variables"][node]] = drawn["values"][node]
+                node = parents[node]
             assert path == res.model
             assert satisfies(f, path)
-        dot = trace_to_dot(dpll_solve(f, heuristic=heuristic, record="dot")[1])
+        dot = trace_to_dot(tr)
         assert dot.count(" [label=") == n
         assert dot.count(" -> ") == n - 1
 
@@ -514,7 +530,7 @@ class TestDpll:
         assert res.satisfiable and satisfies(f, res.model)
         assert tr.depth() == n
         assert tr.node_count() == n + 1
-        assert tr.kinds.count("decision") == n // 2
+        assert tr.decision_count == n // 2
         assert tr.branch_count == tr.backtrack_count == 0
 
     @settings(max_examples=60, deadline=None)
@@ -579,39 +595,26 @@ class TestRecords:
     @example(_case([[1], [-1, 2], [-1, -2, 3]], 3), "lowest-index")  # settled at the root
     @example(_case([[1], [2], [-1, -2, 3], [-3]], 3), "most-occurrences")  # refuted there
     @example(_case([], 2), "lowest-index")  # SAT at the root node
-    def test_every_record_gives_the_tree_search(self, case, heuristic):
-        f, _ = case
-        res, tree = dpll_solve(f, heuristic=heuristic)
-        assert tree.decision_count == tree.kinds.count("decision")
-        expected = (res, tree.node_count(), tree.branch_count, tree.backtrack_count,
-                    tree.depth(), tree.free_variables, tree.decision_count)
-        dot = reference_trace_dot(tree.parents, tree.kinds, tree.variables, tree.values,
-                                  tree.leaves)
+    def test_every_record_gives_the_reference_search(self, case, heuristic):
+        f, clause_lists = case
         # a chunk of one or two lines makes small searches flush as well
         for chunk in (1, 2, logic.DOT_CHUNK):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(logic, "DOT_CHUNK", chunk)
-                for record in ("dot", "counts"):
-                    other_res, other = dpll_solve(f, heuristic=heuristic, record=record)
-                    assert (other_res, other.node_count(), other.branch_count,
-                            other.backtrack_count, other.depth(), other.free_variables,
-                            other.decision_count) == expected
-                    if record == "dot":
-                        assert trace_to_dot(other) == dot
-                    else:
-                        assert other.parents is None and other.dot_nodes is None
-                        with pytest.raises(ValueError, match='record="dot"'):
-                            trace_to_dot(other)
+                assert_matches_reference_search(f, clause_lists, heuristic)
+        _, counted = dpll_solve(f, heuristic=heuristic, record="counts")
+        assert counted.parents is None and counted.dot_nodes is None
         with pytest.raises(ValueError, match='record="dot"'):
-            trace_to_dot(tree)
+            trace_to_dot(counted)
 
     def test_unknown_record_rejected(self):
-        with pytest.raises(ValueError, match="unknown record"):
-            dpll_solve(formula([[1]], 1), record="lines")
-
-
-NODE_LINE = re.compile(r'  n(\d+) \[label="([^"]*)"(, shape=doublecircle)?(, style=filled)?\];')
-EDGE_LINE = re.compile(r"  n(\d+) -> n(\d+);")
+        f = formula([[1]], 1)
+        for record in ("lines", "tree"):
+            expected = re.escape(f"unknown record {record!r}, expected one of ('dot', 'counts')")
+            with pytest.raises(ValueError, match=expected):
+                dpll_solve(f, record=record)
+        _, default = dpll_solve(f)
+        assert default.parents is None and default.dot_nodes is None
 
 
 class TestDotExport:
@@ -635,26 +638,19 @@ class TestDotExport:
     @settings(max_examples=100, deadline=None)
     @given(mixed_cnf(), st.sampled_from(HEURISTICS))
     def test_trace_dot_parses_back_to_the_trace(self, case, heuristic):
-        _, tr = dpll_solve(case[0], heuristic=heuristic)
-        _, drawn = dpll_solve(case[0], heuristic=heuristic, record="dot")
-        lines = trace_to_dot(drawn).split("\n")
-        assert lines[:2] == ["digraph derivation_trace {", "  rankdir=TB;"]
-        assert lines[-2:] == ["}", ""]
-        nodes, edges = [], []
-        for line in lines[2:-2]:
-            if node := NODE_LINE.fullmatch(line):
-                nodes.append((int(node[1]), node[2], bool(node[3]), bool(node[4])))
-            else:
-                edge = EDGE_LINE.fullmatch(line)
-                assert edge, f"not a node or edge line: {line!r}"
-                edges.append((int(edge[1]), int(edge[2])))
-        expected = []
-        for i, (kind, var, value, leaf) in enumerate(
-            zip(tr.kinds, tr.variables, tr.values, tr.leaves)
-        ):
-            label = "Start" if i == 0 else f"x{var}={str(value).lower()}"
-            if leaf is not None:
-                label += f" ({leaf})"
-            expected.append((i, label, kind == "decision", leaf == "UNSAT"))
-        assert nodes == expected
-        assert edges == [(tr.parents[i], i) for i in range(1, tr.node_count())]
+        f, clause_lists = case
+        ref = reference_dpll(clause_lists, f.variable_count, heuristic)
+        _, tr, drawn = drawn_search(f, heuristic=heuristic)
+        assert drawn == {
+            "parents": ref["parents"],
+            "decisions": [kind == "decision" for kind in ref["kinds"]],
+            "variables": ref["variables"],
+            "values": ref["values"],
+            "leaves": ref["leaves"],
+        }
+        assert drawn["parents"] == list(tr.parents)
+        text = trace_to_dot(tr)
+        for broken in (text.replace("  n0 ", "  n00 ", 1), text[:-2],
+                       text.replace('"Start', '"x1=true', 1)):
+            with pytest.raises(ValueError):
+                read_trace_dot(broken)
