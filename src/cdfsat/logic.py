@@ -25,7 +25,8 @@ literal indexes from the end, so variable v owns entries v and -v and
 entry 0 is unused.  A lookup is then one list index, with no hashing and
 no default for a literal that occurs nowhere.  The implication graph's
 successors, Tarjan's state in ``solve_2sat``, the occurrence lists of
-``occurrence_index`` and the DPLL value table are such lists.
+``occurrence_index`` (for ``unit_propagate``), the remainder lists of
+``remainder_index`` and the DPLL value table are such lists.
 
 ``ImplicationGraph`` stores its edges in that layout: entry u is the tuple
 of u's successors in canonical order (by variable, positive first).
@@ -49,18 +50,27 @@ The search itself is one loop over an explicit stack of open decisions.
 Its state is that stack (the frames), a value table indexed by literal,
 the trail of assigned literals in assignment order, and the queue of
 literals still to propagate, which is the trail's unpropagated tail, as in
-MiniSat (Een & Sorensson, SAT 2003).  Clauses are checked against the
-value table when visited, and the search is SAT once no unassigned
-variable occurs in an unsatisfied clause.  The search also stops at
-autarkies (Monien & Speckenmeyer 1985): an assignment is an autarky when
-it satisfies every clause holding the negation of one of its literals, and
-then the formula is satisfiable exactly when the clauses it leaves
-untouched are.  So when both values of a decision taken under an autarky
-fail, the formula is UNSAT, and the search returns at once instead of
-backtracking further.  In a 2-CNF formula every level that propagates
-without conflict is autarkic, so each decision is tried at most twice, as
-in Even, Itai & Shamir (1976).  A satisfiable formula never exhausts the
-subtree below an autarky, so the cut leaves SAT traces unchanged.
+MiniSat (Een & Sorensson, SAT 2003).  It reads the formula through one
+index, the remainder lists: entry ``lit`` holds, for each clause holding
+``lit``, the clause's other literals (its remainder; see
+``remainder_index``).  A literal made false sends the search to the
+remainders of its entry, which are checked against the value table, so a
+visit to a width-2 or width-3 clause never reads the literal that
+triggered it; a unit or width->=4 clause is its own remainder, shared by
+the entries of all its literals, which keeps the index linear in the
+formula.  The decision heuristic and the autarky check read the same
+lists, and the root's unit clauses are the entries of their own literals.
+The search is SAT once no unassigned variable occurs in an unsatisfied
+clause.  The search also stops at autarkies (Monien & Speckenmeyer
+1985): an assignment is an autarky when it satisfies every clause holding
+the negation of one of its literals, and then the formula is satisfiable
+exactly when the clauses it leaves untouched are.  So when both values of
+a decision taken under an autarky fail, the formula is UNSAT, and the
+search returns at once instead of backtracking further.  In a 2-CNF
+formula every level that propagates without conflict is autarkic, so each
+decision is tried at most twice, as in Even, Itai & Shamir (1976).  A
+satisfiable formula never exhausts the subtree below an autarky, so the
+cut leaves SAT traces unchanged.
 
 The search tree is numbered in depth-first preorder, and the search keeps
 of it only what its caller consumes, chosen by ``dpll_solve``'s
@@ -253,12 +263,14 @@ def propagate_closure(g: ImplicationGraph, seed: Iterable[int]) -> PropagationCl
 
 
 def occurrence_index(f: CnfFormula) -> tuple[list[list[int]], tuple[int, ...]]:
-    """Where each literal occurs in ``f``, for event-driven propagation.
+    """Where each literal occurs in ``f``, for ``unit_propagate``'s replay
+    of the clause rescan.
 
     Returns the occurrence lists, one list indexed by literal (a negative
     literal indexes from the end, and entry 0 is empty) whose entry is the
     ascending indices of the clauses that contain the literal, and the
-    indices of the width-1 clauses in ascending order.
+    indices of the width-1 clauses in ascending order.  The DPLL search
+    reads clause remainders instead (``remainder_index``).
     """
     occ: list[list[int]] = [[] for _ in range(2 * f.variable_count + 1)]
     units: list[int] = []
@@ -268,6 +280,51 @@ def occurrence_index(f: CnfFormula) -> tuple[list[list[int]], tuple[int, ...]]:
         for lit in cl:
             occ[lit].append(idx)
     return occ, tuple(units)
+
+
+def remainder_index(f: CnfFormula) -> tuple[list[list[tuple[int, ...]]], tuple[Clause, ...]]:
+    """What is left of each clause of ``f`` once one of its literals is
+    false, for the DPLL search.
+
+    Returns the remainder lists, one list indexed by literal (a negative
+    literal indexes from the end, and entry 0 is empty), and the width-1
+    clauses in formula order.  Entry ``lit`` holds one remainder for each
+    clause that contains ``lit``, in ascending clause order:
+
+    * for a width-2 clause, the 1-tuple of its other literal.  There is one
+      such tuple per literal, shared by every width-2 clause that holds it;
+    * for a width-3 clause, the pair of its other two literals;
+    * for a width-1 or width->=4 clause, the clause itself, shared by the
+      entries of all its literals.
+
+    So a remainder of length 1 comes from a clause of width <= 2 and any
+    longer one from a clause of width >= 3, and the index stays linear in
+    the size of the formula.  Once ``lit`` is false, a remainder decides
+    its clause as the whole clause would: the clause is satisfied when a
+    literal of the remainder is true, falsified when all are false, and
+    unit when exactly one is unassigned.  A whole clause adds only ``lit``,
+    which is false and so changes none of these.
+    """
+    n = f.variable_count
+    remainders: list[list[tuple[int, ...]]] = [[] for _ in range(2 * n + 1)]
+    singles = [(lit,) for lit in range(n + 1)] + [(lit,) for lit in range(-n, 0)]
+    units: list[Clause] = []
+    for cl in f.clauses:
+        if len(cl) == 2:
+            a, b = cl
+            remainders[a].append(singles[b])
+            remainders[b].append(singles[a])
+        elif len(cl) == 3:
+            a, b, c = cl
+            remainders[a].append((b, c))
+            remainders[b].append((a, c))
+            remainders[c].append((a, b))
+        else:
+            if len(cl) == 1:
+                units.append(cl)
+            for lit in cl:
+                remainders[lit].append(cl)
+    return remainders, tuple(units)
 
 
 def unit_propagate(f: CnfFormula, assignment: Assignment) -> PropagationClosure:
@@ -544,14 +601,13 @@ def _dot_node_parts(n: int) -> tuple[list[str], dict[tuple[bool, str | None], st
 class _DpllSearch:
     def __init__(self, f: CnfFormula, heuristic: str, record: str):
         self.f = f
-        self.clauses = f.clauses
         self.heuristic = heuristic
-        self.occ, self.units = occurrence_index(f)
+        self.remainders, self.units = remainder_index(f)
         # decision order: the heuristic's choice is the first candidate in it
         self.order = list(range(1, f.variable_count + 1))
         if heuristic == "most-occurrences":
-            # stable sort: ties keep ascending index
-            self.order.sort(key=lambda v: -len(self.occ[v]) - len(self.occ[-v]))
+            # one remainder per occurrence; stable sort: ties keep ascending index
+            self.order.sort(key=lambda v: -len(self.remainders[v]) - len(self.remainders[-v]))
         # value[lit] is True, False or None (unassigned); a negative literal
         # indexes from the end, so each variable v has the two entries
         # value[v] and value[-v], which are set and cleared together
@@ -582,21 +638,23 @@ class _DpllSearch:
             lit = self.trail[-1] if tip else 0
             self.lines[-1] = f"  n{tip}{self.heads[lit]}{self.ends[0 < tip == start, leaf]}"
 
-    def _propagate(self, tip: int, head: int, units: Sequence[int] = ()) -> int | None:
+    def _propagate(self, tip: int, head: int, units: Sequence[Clause] = ()) -> int | None:
         """Unit-propagate the trail from position ``head`` on, growing the
         trace chain at node ``tip``, the newest node.
 
         The queue is the trail's tail from ``head`` on, taken first in,
         first out.  For each literal taken, the clauses holding its negation
-        are visited in ascending order, each checked against the whole
-        current assignment: a falsified clause is a conflict, and an
-        unsatisfied clause with a single unassigned literal forces it.
-        Whenever the queue runs dry, the next clause of ``units`` (the
-        original unit clauses, at the root) is visited.  Returns the new
-        chain tip, or None on conflict (with the dead node already marked as
-        an UNSAT leaf).
+        are visited in ascending order, through their remainders (see
+        ``remainder_index``).  Of a width-2 or width-3 clause only the
+        literals that can still change its state are read, unrolled, not
+        the one just made false; a unit or wider clause is read whole.  A
+        falsified clause is a conflict, and an unsatisfied clause with a
+        single unassigned literal forces it.  Whenever the queue runs dry,
+        the next clause of ``units`` (the original unit clauses, at the
+        root) is visited.  Returns the new chain tip, or None on conflict
+        (with the dead node already marked as an UNSAT leaf).
         """
-        value, trail, occ, clauses = self.value, self.trail, self.occ, self.clauses
+        value, trail, remainders = self.value, self.trail, self.remainders
         dot = self.dot
         if dot:
             parents, lines, heads = self.parents, self.lines, self.heads
@@ -605,47 +663,74 @@ class _DpllSearch:
         next_unit = 0
         while head < len(trail) or next_unit < len(units):
             if head < len(trail):
-                visit = occ[-trail[head]]
+                visit = remainders[-trail[head]]
                 head += 1
             else:
                 visit = (units[next_unit],)
                 next_unit += 1
-            for idx in visit:
-                cl = clauses[idx]
-                single = 0
-                for lit in cl:
-                    val = value[lit]
+            for rest in visit:
+                if len(rest) == 2:
+                    # a width-3 clause
+                    a, b = rest
+                    val = value[a]
+                    if val:
+                        continue  # satisfied
+                    other = value[b]
+                    if other:
+                        continue
                     if val is None:
-                        if single:
-                            break  # two unassigned, nothing to do
-                        single = lit
-                    elif val:
-                        break  # satisfied
+                        if other is None:
+                            continue  # two unassigned, nothing to do
+                        single = a
+                    else:
+                        single = b if other is None else 0
+                elif len(rest) == 1:
+                    # a width-2 clause, or a unit clause
+                    single = rest[0]
+                    val = value[single]
+                    if val:
+                        continue
+                    if val is not None:
+                        single = 0
                 else:
-                    if not single:
-                        # falsified; a retreat follows unless this conflict
-                        # ends the whole search, which the final tally fixes
-                        self.nodes = nodes
-                        self._mark(tip, start, "UNSAT")
-                        self.conflict_seen += 1
-                        return None
-                    if len(cl) >= 3:
-                        # no implication form: the excluded value is probed
-                        # and refuted
-                        if dot:
-                            parents.append(tip)
-                            lines.append(f"  n{nodes}{heads[-single]}{refuted_end}")
-                        nodes += 1
-                        self.conflict_seen += 1
-                        self.branch_count += 1
-                    value[single] = True
-                    value[-single] = False
-                    trail.append(single)
+                    # a wider clause, whole
+                    single = 0
+                    for lit in rest:
+                        val = value[lit]
+                        if val is None:
+                            if single:
+                                single = None  # two unassigned, nothing to do
+                                break
+                            single = lit
+                        elif val:
+                            single = None  # satisfied
+                            break
+                    if single is None:
+                        continue
+                if not single:
+                    # falsified; a retreat follows unless this conflict
+                    # ends the whole search, which the final tally fixes
+                    self.nodes = nodes
+                    self._mark(tip, start, "UNSAT")
+                    self.conflict_seen += 1
+                    return None
+                if len(rest) > 1:
+                    # a width->=3 clause has no implication form: the
+                    # excluded value is probed and refuted
                     if dot:
                         parents.append(tip)
-                        lines.append(f"  n{nodes}{heads[single]}{forced_end}")
-                    tip = nodes
+                        lines.append(f"  n{nodes}{heads[-single]}{refuted_end}")
                     nodes += 1
+                    self.conflict_seen += 1
+                    self.branch_count += 1
+                value[single] = True
+                value[-single] = False
+                trail.append(single)
+                if dot:
+                    parents.append(tip)
+                    lines.append(f"  n{nodes}{heads[single]}{forced_end}")
+                tip = nodes
+                nodes += 1
         self.nodes = nodes
         return tip
 
@@ -659,24 +744,31 @@ class _DpllSearch:
         ``start`` is where the parent level's choice was found: every
         variable before it was then assigned or in satisfied clauses only,
         and deeper in the search both the assignment and the satisfied
-        clauses only grow.  The clauses found satisfied are remembered for
-        the call, so a wide clause is scanned once, not once per variable.
-        Both the assignment and clause satisfaction are read from the value
-        table.
+        clauses only grow.  A clause holding an unassigned literal ``lit``
+        is satisfied exactly when a literal of its remainder in
+        ``remainders[lit]`` is true, since a whole clause adds only ``lit``
+        itself.  The width->=4 clauses found satisfied, which are shared by
+        the remainder lists of all their literals, are remembered for the
+        call by ``id()``, so such a clause is scanned once, not once per
+        variable; a remainder of one or two literals costs no more than that
+        lookup.  Both the assignment and clause satisfaction are read from
+        the value table.
         """
-        value, occ, clauses, order = self.value, self.occ, self.clauses, self.order
+        value, remainders, order = self.value, self.remainders, self.order
         satisfied: set[int] = set()
         for pos in range(start, len(order)):
             var = order[pos]
             if value[var] is not None:
                 continue
             for lit in (var, -var):
-                for idx in occ[lit]:
-                    if idx in satisfied:
-                        continue
-                    if not any(map(value.__getitem__, clauses[idx])):
-                        return pos
-                    satisfied.add(idx)
+                for rest in remainders[lit]:
+                    if len(rest) <= 2:
+                        if not any(map(value.__getitem__, rest)):
+                            return pos
+                    elif id(rest) not in satisfied:
+                        if not any(map(value.__getitem__, rest)):
+                            return pos
+                        satisfied.add(id(rest))
         return None
 
     def _autarkic(self, mark: int) -> bool:
@@ -685,17 +777,19 @@ class _DpllSearch:
         autarkic if its parent level is: the whole assignment satisfies
         every clause it touches.
 
-        Only clauses of width >= 3 are tested.  The check runs after a
+        Each clause is read through its remainder in ``remainders[-lit]``,
+        which holds a true literal exactly when the clause does, ``-lit``
+        being false.  Only clauses of width >= 3 are tested: those whose
+        remainder is longer than one literal.  The check runs after a
         propagation that ended without conflict, which took every literal
         of the level from the queue and visited each clause holding its
         negation; a visited clause of width <= 2 was then satisfied, or
         its other literal was forced true, since one false literal leaves
         it a conflict or a unit."""
-        value, occ, clauses = self.value, self.occ, self.clauses
+        value, remainders = self.value, self.remainders
         for lit in self.trail[mark:]:
-            for idx in occ[-lit]:
-                cl = clauses[idx]
-                if len(cl) > 2 and not any(map(value.__getitem__, cl)):
+            for rest in remainders[-lit]:
+                if len(rest) > 1 and not any(map(value.__getitem__, rest)):
                     return False
         return True
 

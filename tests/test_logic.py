@@ -149,6 +149,18 @@ def assert_matches_reference_search(f, clause_lists, heuristic):
     return res
 
 
+def assert_each_decision_tried_at_most_twice(f):
+    """The search of a 2-CNF ``f``, under both heuristics, takes at most n
+    branches and 2n decisions: every conflict-free level of it is
+    autarkic, so a decision that fails both ways ends the search (Even,
+    Itai & Shamir 1976)."""
+    n = f.variable_count
+    for heuristic in HEURISTICS:
+        _, tr = dpll_solve(f, heuristic=heuristic)
+        assert tr.branch_count <= n
+        assert tr.decision_count <= 2 * n
+
+
 def drawn_search(f, heuristic="lowest-index"):
     """A "dot" search of ``f``, with its tree's lists read from the DOT text."""
     res, tr = dpll_solve(f, heuristic=heuristic, record="dot")
@@ -572,6 +584,18 @@ class TestDpll:
         assert time.perf_counter() - start < 1.0
         assert not res.satisfiable
 
+    @settings(max_examples=300, deadline=None)
+    @given(narrow_cnf())
+    def test_2cnf_search_is_bounded_by_the_variables(self, case):
+        assert_each_decision_tried_at_most_twice(case[0])
+
+    @pytest.mark.parametrize("n, seed", [(n, s) for n in (200, 1000) for s in range(5)]
+                             + [(200, 43), (200, 48)])
+    def test_random_2sat_search_is_bounded_by_the_variables(self, n, seed):
+        # at the threshold m = n; seeds 43 and 48 are UNSAT, refuted below
+        # an autarky
+        assert_each_decision_tried_at_most_twice(generate_random_ksat(n, n, 2, seed))
+
     def test_trace_counters_in_json(self):
         _, tr = dpll_solve(formula([[-1, -2, 3]], 3))
         d = tr.to_json_dict()
@@ -595,6 +619,12 @@ class TestRecords:
     @example(_case([[1], [-1, 2], [-1, -2, 3]], 3), "lowest-index")  # settled at the root
     @example(_case([[1], [2], [-1, -2, 3], [-3]], 3), "most-occurrences")  # refuted there
     @example(_case([], 2), "lowest-index")  # SAT at the root node
+    # a unit clause falsified by an earlier unit's propagation before its turn
+    @example(_case([[-2], [1], [2]], 2), "lowest-index")
+    # a width-5 clause forced through its last literal, after four decisions
+    @example(_case([[-1, -2, -3, -4, 5]], 5), "lowest-index")
+    # a duplicated width-3 clause: the copy is satisfied by its twin's forcing
+    @example(_case([[-1, -2, 3], [-1, -2, 3]], 3), "most-occurrences")
     def test_every_record_gives_the_reference_search(self, case, heuristic):
         f, clause_lists = case
         # a chunk of one or two lines makes small searches flush as well

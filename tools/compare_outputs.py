@@ -28,8 +28,9 @@ that writes a JSON report is compared, then ``analyze -`` and
 ``growth`` on formulas past the counting cap (see ``_past_cap_corpus``),
 and last ``analyze -`` and ``export-dot trace -``, under both heuristics,
 on random 3-SAT formulas whose search trees mostly span several chunks
-of DOT node lines (see ``_large_tree_corpus``): 2503 commands in all at
-seeds 7 and 3.
+of DOT node lines, and on formulas of clause widths 1, 2, 3 and 5 with
+trees of thousands of nodes (see ``_large_tree_corpus``): 2519 commands in
+all at seeds 7 and 3.
 Each checkout then runs all of them in-process through its own
 ``cdfsat.cli.main``, in one subprocess per checkout, with stdin, stdout
 and stderr held in memory; a piped command reads the stdout of its
@@ -62,6 +63,7 @@ CORPUS_SIZE = 500
 NARROW_CORPUS_SIZE = 300
 PAST_CAP_SEEDS = 5
 LARGE_TREE_SEEDS = (1, 2, 3, 5)
+MIXED_WIDTH_SEEDS = (0, 2, 6, 7)
 # (label, DIMACS text): each is refused with a "cdfsat: error:" line, exit 1.
 MALFORMED_DIMACS = (
     ("bad token", "p cnf 3 2\n1 2 0\n-3 x 0\n"),
@@ -295,19 +297,42 @@ def _past_cap_corpus(workloads) -> list:
     return commands
 
 
+def _mixed_width_formula(seed: int):
+    """A random formula over 50-60 variables with clauses of widths 1, 2, 3
+    and 5: one unit clause, n/5 width-2, 16n/5 width-3 and 2n width-5
+    clauses in a random order, each over distinct variables with random
+    polarities.  Each width reaches the search through its own kind of
+    entry in the clause remainders that it propagates with."""
+    from cdfsat.formula import formula
+
+    rng = random.Random(f"compare-outputs-mixed-width:{seed}")
+    n = rng.randint(50, 60)
+    widths = [1] + [2] * (n // 5) + [3] * (16 * n // 5) + [5] * (2 * n)
+    rng.shuffle(widths)
+    return formula([tuple(v if rng.getrandbits(1) else -v for v in rng.sample(range(1, n + 1), w))
+                    for w in widths], n)
+
+
 def _large_tree_corpus(workloads) -> list:
-    """``analyze -`` and ``export-dot trace -`` on random 3-SAT at n = 60,
-    m = 256, whose search trees are thousands of nodes: seeds 1-3 are
-    refuted (63289, 129027 and 110481 nodes under the default heuristic)
-    and seed 5 is satisfiable (16885 nodes).  Most of these trees span
-    several chunks of DOT node lines (``cdfsat.logic.DOT_CHUNK``)."""
+    """``analyze -`` and ``export-dot trace -`` on formulas whose search
+    trees are thousands of nodes.  Random 3-SAT at n = 60, m = 256: seeds
+    1-3 are refuted (63289, 129027 and 110481 nodes under the default
+    heuristic) and seed 5 is satisfiable (16885 nodes).  Mixed widths (see
+    ``_mixed_width_formula``): seeds 0 and 6 are satisfiable (6222 and 5847
+    nodes) and seeds 2 and 7 refuted (3792 and 5344 nodes).  Most of the
+    3-SAT trees span several chunks of DOT node lines
+    (``cdfsat.logic.DOT_CHUNK``)."""
     from cdfsat.formula import generate_random_ksat, write_dimacs
 
+    cases = [(f"3-SAT n=60 m=256 seed {seed}", generate_random_ksat(60, 256, 3, seed))
+             for seed in LARGE_TREE_SEEDS]
+    cases += [(f"mixed widths seed {seed}", _mixed_width_formula(seed))
+              for seed in MIXED_WIDTH_SEEDS]
     commands = []
-    for seed in LARGE_TREE_SEEDS:
-        text = write_dimacs(generate_random_ksat(60, 256, 3, seed))
+    for name, f in cases:
+        text = write_dimacs(f)
         for argv in (("analyze", "-"), ("export-dot", "trace", "-")):
-            label = f"{' '.join(argv[:-1])} 3-SAT n=60 m=256 seed {seed}"
+            label = f"{' '.join(argv[:-1])} {name}"
             commands.append(workloads.Command(label, argv, None, stdin=text))
     return commands
 
