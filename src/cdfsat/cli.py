@@ -115,9 +115,11 @@ def _resolve_cap(flag: int | None) -> int:
 def _density(text: str) -> Fraction:
     """argparse type of ``growth --density``: an exact Fraction that prints.
 
-    A decimal exponent outside +-4300 is refused before Fraction expands it,
-    and a numerator or denominator past Python's int-to-string limit before
-    the provenance prints it; either is a usage error.
+    A decimal exponent outside +-4300 is refused before Fraction expands it.
+    A numerator or denominator with more digits than Python's int-to-string
+    limit (a minus sign not counted) is refused by that limit itself, as
+    ``str`` raises on it before the provenance prints the density.  Either
+    is a usage error.
     """
     exponent = _DENSITY_EXPONENT.search(text)
     if exponent is not None:
@@ -130,29 +132,13 @@ def _density(text: str) -> Fraction:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
-    limit = sys.get_int_max_str_digits()
-    for part in (value.numerator, value.denominator):
-        if limit and _has_more_digits(abs(part), limit):
-            raise argparse.ArgumentTypeError(
-                f"{text!r} has more than {limit} digits above or below the line"
-            )
+    try:
+        str(value)  # raises past the limit
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} has more than {sys.get_int_max_str_digits()} digits above or below the line"
+        ) from None
     return value
-
-
-def _has_more_digits(x: int, digits: int) -> bool:
-    """Whether ``x >= 10**digits``, for ``x >= 0``.
-
-    With b = x.bit_length(), 2^(b-1) <= x < 2^b, and 10^digits lies
-    between 2^(b-1) and 2^b only when b is within a bit or two of
-    digits * log2(10) (3.3219280948...).  Outside that window the bit
-    length decides; inside it the power is built and compared exactly.
-    """
-    bits = x.bit_length()
-    if bits <= digits * 3321928 // 1000000:  # 2^bits <= 10^digits
-        return False
-    if bits > digits * 3321929 // 1000000 + 1:  # 2^(bits-1) > 10^digits
-        return True
-    return x >= 10**digits
 
 
 def _resolve_theta(flag: float | None) -> float:

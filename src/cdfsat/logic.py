@@ -24,8 +24,8 @@ layout: a list of 2n + 1 entries indexed by literal, where a negative
 literal indexes from the end, so variable v owns entries v and -v and
 entry 0 is unused.  A lookup is then one list index, with no hashing and
 no default for a literal that occurs nowhere.  The implication graph's
-successors, Tarjan's state in ``solve_2sat``, the occurrence lists of
-``occurrence_index`` (for ``unit_propagate``), the remainder lists of
+successors, Tarjan's state in ``solve_2sat``, the occurrence lists that
+``unit_propagate`` builds for its replay, the remainder lists of
 ``remainder_index`` and the DPLL value table are such lists.
 
 ``ImplicationGraph`` stores its edges in that layout: entry u is the tuple
@@ -262,26 +262,6 @@ def propagate_closure(g: ImplicationGraph, seed: Iterable[int]) -> PropagationCl
     return PropagationClosure(seed_set, frozenset(forced), tuple(steps), conflict)
 
 
-def occurrence_index(f: CnfFormula) -> tuple[list[list[int]], tuple[int, ...]]:
-    """Where each literal occurs in ``f``, for ``unit_propagate``'s replay
-    of the clause rescan.
-
-    Returns the occurrence lists, one list indexed by literal (a negative
-    literal indexes from the end, and entry 0 is empty) whose entry is the
-    ascending indices of the clauses that contain the literal, and the
-    indices of the width-1 clauses in ascending order.  The DPLL search
-    reads clause remainders instead (``remainder_index``).
-    """
-    occ: list[list[int]] = [[] for _ in range(2 * f.variable_count + 1)]
-    units: list[int] = []
-    for idx, cl in enumerate(f.clauses):
-        if len(cl) == 1:
-            units.append(idx)
-        for lit in cl:
-            occ[lit].append(idx)
-    return occ, tuple(units)
-
-
 def remainder_index(f: CnfFormula) -> tuple[list[list[tuple[int, ...]]], tuple[Clause, ...]]:
     """What is left of each clause of ``f`` once one of its literals is
     false, for the DPLL search.
@@ -337,11 +317,13 @@ def unit_propagate(f: CnfFormula, assignment: Assignment) -> PropagationClosure:
     The result is that of scanning all clauses in formula order, pass after
     pass, until a pass forces nothing; steps, forced set and conflict are
     exactly those of that rescan, including the forced set at a conflict,
-    which depends on visit order.  The scan is replayed from the formula's
-    occurrence index instead of being run: a clause can only start to
-    force or conflict once the negation of one of its literals is forced,
-    so each pass visits just the clauses that such an event touched since
-    their last visit, in ascending order.  The first pass starts from the unit
+    which depends on visit order.  The scan is replayed from occurrence
+    lists instead of being run: one list indexed by literal (a negative
+    literal from the end), whose entry holds the ascending indices of the
+    clauses that contain the literal.  A clause can only start to force or
+    conflict once the negation of one of its literals is forced, so each
+    pass visits just the clauses that such an event touched since their
+    last visit, in ascending order.  The first pass starts from the unit
     clauses and the clauses containing the negation of a seed literal.
     When clause i forces a literal, the clauses containing its negation
     join the current pass if their index is above i (a min-heap keeps the
@@ -350,15 +332,21 @@ def unit_propagate(f: CnfFormula, assignment: Assignment) -> PropagationClosure:
     for var in assignment:
         if var < 1 or var > f.variable_count:
             raise ValueError(f"assigned variable {var} outside variable range")
-    occ, units = occurrence_index(f)
     clauses = f.clauses
+    occ: list[list[int]] = [[] for _ in range(2 * f.variable_count + 1)]
+    later: set[int] = set()  # the clauses of the next pass: first, the unit clauses
+    for i, cl in enumerate(clauses):
+        if len(cl) == 1:
+            later.add(i)
+        for lit in cl:
+            occ[lit].append(i)
     # a variable mapped to None is free, as in ``satisfies``
     seed_set = frozenset(v if val else -v for v, val in assignment.items() if val is not None)
-    forced: set[int] = set(seed_set)
+    # each forced literal's place in forcing order; the seed comes first
     order: dict[int, int] = {lit: i for i, lit in enumerate(sorted(seed_set, key=_lit_key))}
+    forced = order.keys()
     steps: list[PropagationStep] = []
     conflict: int | None = None
-    later: set[int] = set(units)
     for lit in seed_set:
         later.update(occ[-lit])
     while later and conflict is None:
@@ -383,7 +371,6 @@ def unit_propagate(f: CnfFormula, assignment: Assignment) -> PropagationClosure:
                     source = -max(false_lits, key=lambda l: order[-l])
                 else:
                     source = forced_lit  # original unit clause, self-evident
-                forced.add(forced_lit)
                 order[forced_lit] = len(order)
                 steps.append(PropagationStep(source, "unit", forced_lit))
                 for j in occ[-forced_lit]:

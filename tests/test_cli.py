@@ -34,11 +34,11 @@ def _cli_env(env_extra=None):
     return env
 
 
-def run_cli(*args, env_extra=None, stdin_text=None, binary=False, **run_options):
+def run_cli(*args, env_extra=None, stdin_text=None, **run_options):
     return subprocess.run(
         [sys.executable, "-m", "cdfsat.cli", *args],
         capture_output=True,
-        text=not binary,
+        text=True,
         env=_cli_env(env_extra),
         input=stdin_text,
         **run_options,
@@ -547,13 +547,18 @@ class TestGrowth:
         finally:
             sys.set_int_max_str_digits(saved)
 
-    def test_digit_bound_is_exact(self):
-        for digits in [*range(1, 80), 640, 4300]:
-            power = 10**digits
-            bits = power.bit_length()
-            for x in {0, 1, power - 1, power, power + 1, power // 2, 2 * power,
-                      1 << (bits - 2), 1 << (bits - 1), (1 << bits) - 1, 1 << bits}:
-                assert cli._has_more_digits(x, digits) == (x >= power), (x, digits)
+    def test_density_sign_is_not_a_digit(self, capsys):
+        # 640 nines fit a limit of 640 digits, and so does their negation
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            args = ["growth", "--k", "2", "--n", "4,6,8", "--quiet", "--density", "-" + "9" * 640]
+            assert run_main(args) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.endswith("error: --density must be positive\n")
+        finally:
+            sys.set_int_max_str_digits(saved)
 
     def test_clause_limit_counts_the_largest_member(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "MAX_CLAUSES", 6)
@@ -895,25 +900,6 @@ class TestGraphLimits:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"cdfsat: error: {clause_count} clauses exceed the limit of {clause_count - 1}\n"
-
-
-class TestDeterminism:
-    def test_analyze_byte_identical(self, chain_file):
-        a = run_cli("analyze", chain_file, binary=True)
-        b = run_cli("analyze", chain_file, binary=True)
-        assert a.stdout == b.stdout
-        assert a.stderr == b.stderr
-
-    def test_growth_byte_identical(self):
-        args = (
-            "growth", "--k", "3", "--n", "9,12,15", "--density", "1/3",
-            "--disjoint", "--seed", "5",
-        )
-        assert run_cli(*args, binary=True).stdout == run_cli(*args, binary=True).stdout
-
-    def test_export_dot_byte_identical(self, wide_file):
-        args = ("export-dot", "trace", wide_file)
-        assert run_cli(*args, binary=True).stdout == run_cli(*args, binary=True).stdout
 
 
 _JSON_STR = st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7f\u00e9\u20ac\U0001f600') | st.characters(),
