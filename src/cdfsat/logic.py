@@ -207,32 +207,26 @@ def build_implication_graph(f: CnfFormula) -> ImplicationGraph:
 
 
 @dataclass(frozen=True)
-class PropagationStep:
-    source: int
-    rule: str
-    literal: int
-
-
-@dataclass(frozen=True)
 class PropagationClosure:
-    """Forced-literal closure of a seed, with its derivation steps.
+    """Forced-literal closure of a seed.
 
+    ``forced`` holds the seed and every literal propagation forced from it.
     ``conflict`` names the first variable observed forced in both
-    polarities (graph fragment) or the variable of a falsified clause's
-    last literal (clause fragment); None means no contradiction.
+    polarities (graph fragment) or, in the falsified clause that stopped
+    propagation, the variable of the literal that became false most
+    recently (clause fragment); None means no contradiction.
     """
 
     seed: frozenset[int]
     forced: frozenset[int]
-    steps: tuple[PropagationStep, ...]
     conflict: int | None
 
 
 def propagate_closure(g: ImplicationGraph, seed: Iterable[int]) -> PropagationClosure:
     """Reachability closure of ``seed`` over the implication edges.
 
-    Breadth-first from the seed literals in canonical order, so the step
-    list is deterministic.  The closure always runs to completion; the
+    Breadth-first from the seed literals in canonical order, which fixes
+    the conflict variable.  The closure always runs to completion; the
     conflict marker is set as soon as some variable is reached in both
     polarities, taking the empty seed to the empty closure (a forcing edge
     ~a => a fires only once ~a is actually reached).
@@ -247,7 +241,6 @@ def propagate_closure(g: ImplicationGraph, seed: Iterable[int]) -> PropagationCl
         if -lit in seed_set:
             conflict = abs(lit)
             break
-    steps: list[PropagationStep] = []
     queue = deque(sorted(seed_set, key=_lit_key))
     while queue:
         u = queue.popleft()
@@ -255,11 +248,10 @@ def propagate_closure(g: ImplicationGraph, seed: Iterable[int]) -> PropagationCl
             if v in forced:
                 continue
             forced.add(v)
-            steps.append(PropagationStep(u, "implication", v))
             if conflict is None and -v in forced:
                 conflict = abs(v)
             queue.append(v)
-    return PropagationClosure(seed_set, frozenset(forced), tuple(steps), conflict)
+    return PropagationClosure(seed_set, frozenset(forced), conflict)
 
 
 def remainder_index(f: CnfFormula) -> tuple[list[list[tuple[int, ...]]], tuple[Clause, ...]]:
@@ -315,12 +307,12 @@ def unit_propagate(f: CnfFormula, assignment: Assignment) -> PropagationClosure:
     unconditionally.  Stops at the first falsified clause (conflict).
 
     The result is that of scanning all clauses in formula order, pass after
-    pass, until a pass forces nothing; steps, forced set and conflict are
-    exactly those of that rescan, including the forced set at a conflict,
-    which depends on visit order.  The scan is replayed from occurrence
-    lists instead of being run: one list indexed by literal (a negative
-    literal from the end), whose entry holds the ascending indices of the
-    clauses that contain the literal.  A clause can only start to force or
+    pass, until a pass forces nothing; forced set and conflict are exactly
+    those of that rescan, including the forced set at a conflict, which
+    depends on visit order.  The scan is replayed from occurrence lists
+    instead of being run: one list indexed by literal (a negative literal
+    from the end), whose entry holds the ascending indices of the clauses
+    that contain the literal.  A clause can only start to force or
     conflict once the negation of one of its literals is forced, so each
     pass visits just the clauses that such an event touched since their
     last visit, in ascending order.  The first pass starts from the unit
@@ -345,7 +337,6 @@ def unit_propagate(f: CnfFormula, assignment: Assignment) -> PropagationClosure:
     # each forced literal's place in forcing order; the seed comes first
     order: dict[int, int] = {lit: i for i, lit in enumerate(sorted(seed_set, key=_lit_key))}
     forced = order.keys()
-    steps: list[PropagationStep] = []
     conflict: int | None = None
     for lit in seed_set:
         later.update(occ[-lit])
@@ -360,26 +351,20 @@ def unit_propagate(f: CnfFormula, assignment: Assignment) -> PropagationClosure:
                 continue  # satisfied
             unassigned = [lit for lit in cl if -lit not in forced]
             if not unassigned:
-                # falsified: the literal forced most recently is the clash
+                # falsified: the literal that became false last is the clash
                 trigger = max(cl, key=lambda l: order[-l])
                 conflict = abs(trigger)
                 break
             if len(unassigned) == 1:
                 forced_lit = unassigned[0]
-                false_lits = [lit for lit in cl if lit != forced_lit]
-                if false_lits:
-                    source = -max(false_lits, key=lambda l: order[-l])
-                else:
-                    source = forced_lit  # original unit clause, self-evident
                 order[forced_lit] = len(order)
-                steps.append(PropagationStep(source, "unit", forced_lit))
                 for j in occ[-forced_lit]:
                     if j < i:
                         later.add(j)
                     elif j not in queued:
                         queued.add(j)
                         heappush(queue, j)
-    return PropagationClosure(seed_set, frozenset(forced), tuple(steps), conflict)
+    return PropagationClosure(seed_set, frozenset(forced), conflict)
 
 
 @dataclass(frozen=True)

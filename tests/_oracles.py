@@ -224,48 +224,21 @@ def component_count(clause_lists, n: int) -> int:
 # Propagation fixpoints
 # ---------------------------------------------------------------------------
 
-def naive_unit_closure(clause_lists, seed_literals) -> tuple[set[int], bool]:
-    """Fixpoint of 'a clause with all other literals false forces the rest'.
-
-    Returns (forced literal set, conflict flag); stops growing on conflict,
-    mirroring the contract of clause-level propagation.
-    """
-    forced = set(seed_literals)
-    conflict = any(-lit in forced for lit in forced)
-    changed = True
-    while changed and not conflict:
-        changed = False
-        for cl in clause_lists:
-            if any(lit in forced for lit in cl):
-                continue
-            live = [lit for lit in cl if -lit not in forced]
-            if not live:
-                conflict = True
-                break
-            if len(live) == 1:
-                forced.add(live[0])
-                changed = True
-    return forced, conflict
-
-
-def rescan_unit_propagate(clause_lists, seed_literals):
+def naive_unit_closure(clause_lists, seed_literals) -> tuple[set[int], int | None]:
     """Clause-level propagation by full formula-order rescans.
 
-    The reference for the package's step order: every pass scans all
-    clauses in order, a clause with one unassigned literal left forces it,
-    passes repeat until one forces nothing, and the first falsified clause
-    ends the run.
-    Returns ``(forced, steps, conflict)``: the forced literal set, the steps
-    as ``(source, literal)`` pairs in firing order (the source of an
-    original unit clause is its own literal, otherwise the negation of the
-    clause's most recently forced false literal) and the conflict variable,
-    None without a conflict.
+    Every pass scans all clauses in order, a clause with one unassigned
+    literal left forces it, passes repeat until one forces nothing, and the
+    first falsified clause ends the run.  The seed literals are over
+    distinct variables.
+    Returns ``(forced, conflict)``: the forced literal set, seed included,
+    and the conflict variable, None without a conflict.  The conflict
+    variable is that of the falsified clause's literal that became false
+    most recently, the seed counting as forced first, in canonical order.
     """
-    seed = set(seed_literals)
-    forced = set(seed)
-    canonical = sorted(seed, key=lambda lit: (abs(lit), lit < 0))
+    forced = set(seed_literals)
+    canonical = sorted(forced, key=lambda lit: (abs(lit), lit < 0))
     order = {lit: i for i, lit in enumerate(canonical)}
-    steps = []
     conflict = None
     progress = True
     while progress and conflict is None:
@@ -278,17 +251,10 @@ def rescan_unit_propagate(clause_lists, seed_literals):
                 conflict = abs(max(cl, key=lambda lit: order[-lit]))
                 break
             if len(unassigned) == 1:
-                forced_lit = unassigned[0]
-                false_lits = [lit for lit in cl if lit != forced_lit]
-                if false_lits:
-                    source = -max(false_lits, key=lambda lit: order[-lit])
-                else:
-                    source = forced_lit
-                forced.add(forced_lit)
-                order[forced_lit] = len(order)
-                steps.append((source, forced_lit))
+                forced.add(unassigned[0])
+                order[unassigned[0]] = len(order)
                 progress = True
-    return forced, steps, conflict
+    return forced, conflict
 
 
 def naive_reachable(pairs, seed_literals) -> set[int]:
@@ -311,7 +277,7 @@ def _lit_order(lit: int):
 def seedwise_compositionality(clause_lists, n: int) -> dict:
     """The compositionality report of a width-<=2 formula, seed by seed.
 
-    Runs clause-level propagation (``rescan_unit_propagate``) and
+    Runs clause-level propagation (``naive_unit_closure``) and
     reachability over the implication edges (``naive_reachable``; a clause
     (a | b) gives ~a => b and ~b => a, a unit clause (a) gives ~a => a)
     from the empty seed and from every single literal (x1, ~x1, x2, ...),
@@ -335,7 +301,7 @@ def seedwise_compositionality(clause_lists, n: int) -> dict:
     for v in range(1, n + 1):
         seeds += [{v}, {-v}]
     for seed in seeds:
-        gamma, _, conflict = rescan_unit_propagate(clause_lists, seed)
+        gamma, conflict = naive_unit_closure(clause_lists, seed)
         beta = naive_reachable(pairs, seed)
         clause_conflict = conflict is not None
         graph_conflict = any(-lit in beta for lit in beta)

@@ -33,7 +33,6 @@ from _oracles import (
     reference_2sat,
     reference_dpll,
     reference_trace_dot,
-    rescan_unit_propagate,
 )
 
 
@@ -74,6 +73,15 @@ def mixed_cnf_and_seed(draw):
     clause_lists = draw(st.lists(signed_literals(n, 1, min(4, n)), max_size=12))
     seed = draw(signed_literals(n, 0, min(3, n)))
     return formula(clause_lists, n), clause_lists, seed
+
+
+@st.composite
+def random_2cnf_and_seeds(draw):
+    """A random 2-CNF, its clause lists, and the seeds {}, {v} and {-v} of
+    a drawn variable v."""
+    f = draw(random_2cnf())
+    v = draw(st.integers(1, f.variable_count))
+    return f, [cl.literals for cl in f.clauses], [[], [v], [-v]]
 
 
 @st.composite
@@ -251,7 +259,7 @@ class TestPropagateClosure:
         g = build_implication_graph(formula([[1], [-1, 2]], 2))
         got = propagate_closure(g, frozenset())
         assert got.forced == frozenset()
-        assert got.steps == ()
+        assert got.conflict is None
 
     def test_conflict_detected(self):
         # x forces y and ~y
@@ -302,8 +310,7 @@ class TestUnitPropagate:
     def test_original_unit_fires_unconditionally(self):
         got = unit_propagate(formula([[1], [-1, 2]], 2), {})
         assert got.forced == {1, 2}
-        assert [s.rule for s in got.steps] == ["unit", "unit"]
-        assert got.steps[0].source == 1  # self-evident
+        assert got.conflict is None
 
     def test_conflict_stops_growth(self):
         f = formula([[-1, 2], [-2, 3], [-3], [4, 5]], 5)
@@ -320,29 +327,28 @@ class TestUnitPropagate:
         f = formula([[1, 2]], 2)
         assert unit_propagate(f, {1: None}) == unit_propagate(f, {})
 
-    @settings(max_examples=80, deadline=None)
-    @given(random_2cnf(), st.integers(0, 8))
-    def test_matches_naive_fixpoint(self, f, pick):
-        v = pick % f.variable_count + 1
-        seeds = [set(), {v}, {-v}]
-        lists = [cl.literals for cl in f.clauses]
+    # one_of splits the draws about evenly, so each strategy keeps at least
+    # the examples it had as a test of its own (80 and 300)
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(
+        random_2cnf_and_seeds(),
+        mixed_cnf_and_seed().map(lambda case: (case[0], case[1], [case[2]])),
+    ))
+    def test_matches_rescan_oracle(self, case):
+        f, clause_lists, seeds = case
         for seed in seeds:
             got = unit_propagate(f, {abs(l): l > 0 for l in seed})
-            want_forced, want_conflict = naive_unit_closure(lists, seed)
-            assert (got.conflict is not None) == want_conflict
-            if not want_conflict:
-                assert got.forced == want_forced
+            want_forced, want_conflict = naive_unit_closure(clause_lists, seed)
+            assert got.seed == frozenset(seed)
+            assert got.forced == want_forced
+            assert got.conflict == want_conflict
 
-    @settings(max_examples=300, deadline=None)
-    @given(mixed_cnf_and_seed())
-    def test_matches_rescan_oracle(self, case):
-        f, clause_lists, seed = case
-        got = unit_propagate(f, {abs(l): l > 0 for l in seed})
-        want_forced, want_steps, want_conflict = rescan_unit_propagate(clause_lists, seed)
-        assert got.seed == frozenset(seed)
-        assert got.forced == want_forced
-        assert [(s.source, s.literal) for s in got.steps] == want_steps
-        assert got.conflict == want_conflict
+    def test_conflict_is_the_literal_falsified_last(self):
+        # x1 forces x2 and then x3, so the clash clause (~x3 | ~x2) has x3
+        # false last, although its last literal is on x2
+        got = unit_propagate(formula([[-1, 2], [-1, 3], [-3, -2]], 3), {1: True})
+        assert got.conflict == 3
+        assert got.forced == {1, 2, 3}
 
     def test_conflict_keeps_rescan_forced_set(self):
         # the forced set at a conflict depends on visit order: with the

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import io
 import json
 import re
 import subprocess
@@ -169,3 +170,55 @@ def test_benchmark_tracer_installs_and_counts(monkeypatch, capsys):
     assert dot.startswith("digraph derivation_trace {")
     assert emitted == report["nodeCount"]
     assert tracer.nodes_emitted - emitted == report["nodeCount"]
+
+
+_ORACLES_STAND_ALONE = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("_oracles", sys.argv[1])
+spec.loader.exec_module(importlib.util.module_from_spec(spec))
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "cdfsat")
+assert not loaded, f"_oracles imported {loaded}"
+"""
+
+
+def test_oracles_import_nothing_from_the_package():
+    # the package is importable here (conftest puts src/ on PYTHONPATH), so
+    # only the oracles' own imports decide what gets loaded
+    proc = subprocess.run(
+        [sys.executable, "-c", _ORACLES_STAND_ALONE, str(ROOT / "tests" / "_oracles.py")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_verifier_reads_the_oracles(monkeypatch, capsys):
+    # perfbench/verify.py checks each analyze report's unit closure with
+    # tests/_oracles.py's naive_unit_closure, so a changed return shape
+    # would fail every such command in the benchmark, not here
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from cdfsat import cli
+
+    try:
+        import verify
+        from workloads import Command
+
+        verifier = verify.Verifier(verify.load_oracles(ROOT))
+        for text, gamma_forced in [
+            ("p cnf 1 2\n1 0\n-1 0\n", [1]),  # the root conflict stops propagation
+            ("p cnf 3 3\n1 0\n-1 2 0\n-2 3 0\n", [1, 2, 3]),
+        ]:
+            cnf = verify.parse_dimacs(text)
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            assert cli.main(["analyze", "-"]) == 0
+            out = capsys.readouterr().out
+            report = json.loads(out)
+            witness = report["classification"]["compositionality"]["witness"]
+            assert witness["gammaForced"] == gamma_forced
+            cmd = Command("analyze", ("analyze", "-"), cnf)
+            assert verifier.check(cmd, 0, out, None) is None
+            witness["gammaForced"] = gamma_forced[:-1]
+            assert verifier.check(cmd, 0, json.dumps(report), None) is not None
+    finally:
+        for name in ("verify", "refsolver", "workloads"):
+            sys.modules.pop(name, None)
