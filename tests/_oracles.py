@@ -152,16 +152,12 @@ def model_masks(clause_lists, n: int) -> list[int]:
     return out
 
 
-def count_models(clause_lists, n: int) -> int:
-    return len(model_masks(clause_lists, n))
-
-
 def is_satisfiable(clause_lists, n: int) -> bool:
     return any(formula_satisfied(clause_lists, a) for a in all_assignments(n))
 
 
 def fast_count_models(clause_lists, n: int) -> int:
-    """Vectorized variant of count_models for the large randomized suites.
+    """The number of models, vectorized for the large randomized suites.
 
     Builds one unpacked boolean truth column per variable over all 2^n
     rows and ORs them per clause.  The package's sweep also ORs truth

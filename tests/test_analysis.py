@@ -32,17 +32,6 @@ from cdfsat.semantics import formula_image
 from _oracles import seedwise_compositionality
 
 
-def random_2cnf(max_n=8, max_m=14):
-    @st.composite
-    def build(draw):
-        n = draw(st.integers(2, max_n))
-        m = draw(st.integers(0, max_m))
-        seed = draw(st.integers(0, 10**6))
-        return generate_random_ksat(n, m, 2, seed=seed)
-
-    return build()
-
-
 def narrow_cnf(with_units: bool, max_n=10, max_m=14):
     """Width-2 formulas, with at least one unit clause mixed in if asked."""
 
@@ -105,25 +94,6 @@ class TestCompositionality:
         assert rep.witness.assignment == frozenset()
         assert 1 in rep.witness.gamma_forced
         assert rep.witness.gamma_forced != rep.witness.beta_alpha_forced
-
-    @settings(max_examples=100, deadline=None)
-    @given(random_2cnf())
-    def test_width_two_always_compositional(self, f):
-        rep = check_compositionality(f)
-        assert rep.status == COMPOSITIONAL
-        assert rep.checked_seeds == 2 * f.variable_count + 1
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        n=st.integers(3, 8),
-        m=st.integers(1, 10),
-        seed=st.integers(0, 10**6),
-    )
-    def test_any_wide_clause_never_compositional(self, n, m, seed):
-        f = generate_random_ksat(n, m, 3, seed=seed)
-        rep = check_compositionality(f)
-        assert rep.status == NON_COMPOSITIONAL
-        assert rep.witness is not None
 
     def test_witness_seed_shape(self):
         cl = clause(1, -2, 3, 4)

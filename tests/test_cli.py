@@ -109,6 +109,28 @@ class TestAnalyze:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["provenance"]["input"] == "-"
 
+    def test_zero_variable_formula(self, capsys, monkeypatch):
+        # n = 0 fits the materialization cap of 0 that analyze passes, so
+        # this is the one analyze report that is not count-only
+        monkeypatch.delenv("CDFSAT_CAP", raising=False)
+        text = "p cnf 0 0\n"
+        code, report = _analyze_in_process(text)
+        assert code == 0
+        assert report["semantics"] == {"intractable": False, "imageCount": 1,
+                                       "log2Count": 0.0, "representation": "enumerated"}
+        dpll = report["logic"]["dpll"]
+        assert (dpll["result"], dpll["model"], dpll["nodeCount"], dpll["depth"]) == (
+            "SAT", [], 1, 0)
+        assert report["logic"]["twoSat"]["result"] == "SAT"
+        assert report["classification"]["compositionality"]["checkedSeeds"] == 1
+        for kind, dot in [
+            ("trace", 'digraph derivation_trace {\n  rankdir=TB;\n  n0 [label="Start (SAT)"];\n}\n'),
+            ("implication-graph", "digraph implication_graph {\n  rankdir=LR;\n}\n"),
+        ]:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            assert run_main(["export-dot", kind, "-"]) == 0
+            assert capsys.readouterr().out == dot
+
     def test_no_timestamps_in_report(self, chain_file):
         report = json.loads(run_cli("analyze", chain_file).stdout)
 

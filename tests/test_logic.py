@@ -47,17 +47,6 @@ def random_2cnf(max_n=8, max_m=14):
     return build()
 
 
-def random_3cnf(max_n=7, max_m=16):
-    @st.composite
-    def build(draw):
-        n = draw(st.integers(3, max_n))
-        m = draw(st.integers(0, max_m))
-        seed = draw(st.integers(0, 10**6))
-        return generate_random_ksat(n, m, 3, seed=seed)
-
-    return build()
-
-
 def signed_literals(n, min_size, max_size):
     """Literals over distinct variables of 1..n, each with a drawn polarity."""
     variables = st.lists(st.integers(1, n), min_size=min_size, max_size=max_size, unique=True)
@@ -135,7 +124,10 @@ def assert_matches_reference_search(f, clause_lists, heuristic):
     force: the result and every counter of both records, and the DOT text
     of a "dot" search against the reference tree's rendering, under
     ``DOT_CHUNK`` values of one line, two lines (which make small searches
-    flush as well) and the default."""
+    flush as well) and the default.  The default-chunk "dot" tree is also
+    checked on its own: a depth-first preorder from one root, with one SAT
+    leaf exactly when the search is SAT, whose path from the root is the
+    model."""
     ref = reference_dpll(clause_lists, f.variable_count, heuristic)
     assert ref["satisfiable"] == fast_satisfiable(clause_lists, f.variable_count)
     # the stored depth is the longest root-to-leaf path of the reference tree
@@ -156,6 +148,7 @@ def assert_matches_reference_search(f, clause_lists, heuristic):
             assert tr.decision_count == ref["kinds"].count("decision")
             assert tr.branch_count == ref["branch_count"]
             assert tr.backtrack_count == ref["backtrack_count"]
+            assert tr.branch_count >= tr.backtrack_count
             assert tr.free_variables == ref["free_variables"]
             assert tr.depth() == max(depths)
             if record == "dot":
@@ -164,6 +157,28 @@ def assert_matches_reference_search(f, clause_lists, heuristic):
                 assert tr.parents is None and tr.dot_nodes is None
                 with pytest.raises(ValueError, match='record="dot"'):
                     trace_to_dot(tr)
+    # the last run is the default-chunk "dot" search: its tree, read back
+    # from the DOT text, on its own
+    drawn = read_trace_dot(trace_to_dot(tr))
+    tree = tr.parents
+    assert tree[0] == -1 and drawn["variables"][0] is None
+    # preorder: each node hangs off the path from the root to its predecessor
+    path_nodes = [0]
+    for i in range(1, len(tree)):
+        while path_nodes and path_nodes[-1] != tree[i]:
+            path_nodes.pop()
+        assert path_nodes, f"node {i} breaks depth-first preorder"
+        path_nodes.append(i)
+    sat_leaves = [i for i, leaf in enumerate(drawn["leaves"]) if leaf == "SAT"]
+    assert len(sat_leaves) == res.satisfiable
+    if res.satisfiable:
+        path: dict[int, bool] = {}
+        node = sat_leaves[0]
+        while node > 0:
+            path[drawn["variables"][node]] = drawn["values"][node]
+            node = tree[node]
+        assert path == res.model
+        assert satisfies(f, path)
 
 
 def assert_each_decision_tried_at_most_twice(f):
@@ -487,52 +502,6 @@ class TestDpll:
         assert drawn["decisions"][first]
         assert drawn["variables"][first] in (2, 3)  # both occur three times; tie -> lowest
         assert drawn["variables"][first] == 2
-
-    @settings(max_examples=100, deadline=None)
-    @given(random_3cnf(), st.sampled_from(HEURISTICS))
-    def test_matches_brute_force(self, f, heuristic):
-        lists = [cl.literals for cl in f.clauses]
-        res, tr, drawn = drawn_search(f, heuristic=heuristic)
-        assert res.satisfiable == fast_satisfiable(lists, f.variable_count)
-        if res.satisfiable:
-            assert satisfies(f, res.model)
-        assert tr.branch_count >= tr.backtrack_count
-        conflicts = drawn["leaves"].count("UNSAT")
-        if res.satisfiable:
-            assert tr.backtrack_count == conflicts
-        else:
-            assert tr.backtrack_count == max(0, conflicts - 1)
-
-    @settings(max_examples=100, deadline=None)
-    @given(random_3cnf(), st.sampled_from(HEURISTICS))
-    def test_flat_trace_is_a_preorder_tree(self, f, heuristic):
-        res, tr, drawn = drawn_search(f, heuristic=heuristic)
-        n = tr.node_count()
-        parents = list(tr.parents)
-        assert parents == drawn["parents"]
-        assert parents[0] == -1 and drawn["variables"][0] is None  # the root
-        assert all(parents[i] < i for i in range(1, n))
-        # preorder: each node hangs off the path from the root to its predecessor
-        path_nodes = [0]
-        for i in range(1, n):
-            while path_nodes and path_nodes[-1] != parents[i]:
-                path_nodes.pop()
-            assert path_nodes, f"node {i} breaks depth-first preorder"
-            path_nodes.append(i)
-        assert all(len(drawn[key]) == n for key in ("decisions", "variables", "values", "leaves"))
-        sat_leaves = [i for i, leaf in enumerate(drawn["leaves"]) if leaf == "SAT"]
-        assert len(sat_leaves) == (1 if res.satisfiable else 0)
-        if res.satisfiable:
-            path: dict[int, bool] = {}
-            node = sat_leaves[0]
-            while node > 0:
-                path[drawn["variables"][node]] = drawn["values"][node]
-                node = parents[node]
-            assert path == res.model
-            assert satisfies(f, path)
-        dot = trace_to_dot(tr)
-        assert dot.count(" [label=") == n
-        assert dot.count(" -> ") == n - 1
 
     def test_deep_chain_has_flat_trace(self):
         # a propagation chain as deep as the formula: counting, measuring

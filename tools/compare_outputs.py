@@ -29,7 +29,7 @@ that writes a JSON report is compared, then ``analyze -`` and
 and last ``analyze -`` and ``export-dot trace -``, under both heuristics,
 on random 3-SAT formulas whose search trees mostly span several chunks
 of DOT node lines, and on formulas of clause widths 1, 2, 3 and 5 with
-trees of thousands of nodes (see ``_large_tree_corpus``): 2519 commands in
+trees of thousands of nodes (see ``_large_tree_corpus``): 2521 commands in
 all at seeds 7 and 3.
 Each checkout then runs all of them in-process through its own
 ``cdfsat.cli.main``, in one subprocess per checkout, with stdin, stdout
@@ -89,11 +89,13 @@ MALFORMED_DIMACS = (
     ("bad token in the second block, after a form feed",
      "p cnf 2 12002\n1\x0c-2 0\n" + "1 -2 0\n" * 12000 + "2 x 0\n"),
 )
-# (label, DIMACS text): each is accepted, and in all but the SATLIB trailer
-# the bulk step of parse_dimacs refuses a block, which goes to the line step;
-# a % that does not start its line is no trailer.  A header whose clause
-# count disagrees with the body is left out: a checkout whose CLI lets
-# Python print that warning writes its own source path to stderr.
+# (label, DIMACS text): each is accepted.  In each but the SATLIB trailer,
+# whose body the bulk step of parse_dimacs takes whole, and the zero-variable
+# formula, whose empty body reaches neither step, the bulk step refuses a
+# block, which goes to the line step; a % that does not start its line is no
+# trailer.  A header whose clause count disagrees with the body is left out:
+# a checkout whose CLI lets Python print that warning writes its own source
+# path to stderr.
 VALID_DIMACS = (
     ("comment between clauses", "p cnf 3 2\n1 -2 0\nc a comment\n2 3 0\n"),
     ("comment inside a clause", "p cnf 3 1\n1\nc a comment\n-2 3 0\n"),
@@ -110,6 +112,7 @@ VALID_DIMACS = (
     # clause, and a comment line comes before the last clause
     ("clause across the first block boundary, late comment",
      "p cnf 3 16002\n-3 0\n" + "1 -2\n3 0\n" * 16000 + "c late\n2 3 0\n"),
+    ("zero variables", "p cnf 0 0\n"),
 )
 # prove argv and stdin (a derivation read from "-"); the truth table is
 # listed up to 8 atoms, and past TRUTH_TABLE_ATOM_CAP the command exits 2
