@@ -89,8 +89,7 @@ class CnfFormula:
     """A conjunction of clauses over variables ``1..variable_count``.
 
     Every clause given is checked here: one that is not yet a ``Clause``
-    is made one, raising ``Clause``'s error (plain tuples and lists are
-    checked in bulk, see ``_as_clauses``), and every literal must lie in
+    is made one, raising ``Clause``'s error, and every literal must lie in
     the variable range.  ``variable_count`` must be a non-negative int (a
     bool is rejected).  ``formula``, ``generate_random_ksat`` and the
     encoders hand over plain literal tuples; ``parse_dimacs`` builds each
@@ -112,7 +111,7 @@ class CnfFormula:
             raise ValueError("variable_count must be >= 0")
         clauses = tuple(self.clauses)
         if not all(map(isinstance, clauses, repeat(Clause))):
-            clauses = _as_clauses(clauses)
+            clauses = tuple(cl if isinstance(cl, Clause) else Clause(cl) for cl in clauses)
         object.__setattr__(self, "clauses", clauses)
         if max(map(abs, chain.from_iterable(clauses)), default=0) > n:
             i, var = next((i, abs(lit)) for i, cl in enumerate(clauses, 1)
@@ -133,28 +132,6 @@ class CnfFormula:
         if self.variable_count == 0:
             return None
         return Fraction(self.clause_count, self.variable_count)
-
-
-# the clause types that ``_as_clauses`` may read more than once
-_CLAUSE_TYPES = {tuple, list, Clause}
-
-
-def _as_clauses(clauses: tuple) -> tuple[Clause, ...]:
-    """Each of ``clauses`` as a ``Clause``, checked in bulk where possible.
-
-    When every clause is a tuple or a list and every literal a nonzero
-    ``int`` (one pass over all literals), a nonempty clause whose literals
-    name distinct variables is made a ``Clause`` as it is.  Any other clause
-    goes through ``Clause``, which dedupes it or raises its own error, and
-    so does every clause of any other input.
-    """
-    if not (set(map(type, clauses)) <= _CLAUSE_TYPES
-            and set(map(type, chain.from_iterable(clauses))) <= {int}
-            and all(chain.from_iterable(clauses))):
-        return tuple(cl if isinstance(cl, Clause) else Clause(cl) for cl in clauses)
-    make = tuple.__new__
-    return tuple([make(Clause, cl) if cl and len(cl) == len(set(map(abs, cl))) else Clause(cl)
-                  for cl in clauses])
 
 
 def formula(clause_lists: Iterable[Iterable[int]], variable_count: int) -> CnfFormula:

@@ -109,14 +109,14 @@ class SemanticImage:
 
 
 def clauses_variable_disjoint(f: CnfFormula) -> bool:
-    """Whether the clause variable sets are pairwise disjoint."""
-    seen: set[int] = set()
-    for cl in f.clauses:
-        vs = cl.variables()
-        if seen & vs:
-            return False
-        seen |= vs
-    return True
+    """Whether the clause variable sets are pairwise disjoint.
+
+    ``CnfFormula`` makes every clause name distinct variables, so a clause's
+    width is the size of its variable set, and the sets are pairwise
+    disjoint exactly when the widths sum to the number of distinct
+    variables over all clauses.
+    """
+    return sum(map(len, f.clauses)) == len(set(map(abs, chain.from_iterable(f.clauses))))
 
 
 def clause_image(cl: Clause) -> SemanticImage:

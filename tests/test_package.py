@@ -222,3 +222,24 @@ def test_benchmark_verifier_reads_the_oracles(monkeypatch, capsys):
     finally:
         for name in ("verify", "refsolver", "workloads"):
             sys.modules.pop(name, None)
+
+
+def _tuple_new_sites(tree: ast.AST, scope: str = "") -> list[str]:
+    """The enclosing function of each ``tuple.__new__`` in ``tree``."""
+    sites = []
+    for node in ast.iter_child_nodes(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "__new__"
+                and isinstance(node.value, ast.Name) and node.value.id == "tuple"):
+            sites.append(scope)
+        inner = node.name if isinstance(node, ast.FunctionDef) else scope
+        sites += _tuple_new_sites(node, inner)
+    return sites
+
+
+def test_only_the_bulk_parse_bypasses_the_clause_check():
+    # CnfFormula makes every clause through Clause; only parse_dimacs's bulk
+    # step builds a Clause with tuple.__new__, after its own check
+    sites = [f"{path.stem}.{site}"
+             for path in sorted((ROOT / "src" / "cdfsat").rglob("*.py"))
+             for site in _tuple_new_sites(ast.parse(path.read_text(encoding="utf-8")))]
+    assert sites == ["formula._clean_block_clauses"]

@@ -137,6 +137,13 @@ class TestDisjointness:
         assert clauses_variable_disjoint(formula([[1, 2], [3, 4]], 4))
         assert not clauses_variable_disjoint(formula([[1, 2], [2, 3]], 3))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(disjoint_clauses(), overlapping_clauses()))
+    def test_disjoint_exactly_when_no_component_holds_two_clauses(self, case):
+        lists, n = case
+        expected = all(len(members) < 2 for _, members in components(lists, n))
+        assert clauses_variable_disjoint(formula(lists, n)) is expected
+
     @settings(max_examples=100, deadline=None)
     @given(disjoint_clauses(), st.data())
     def test_closed_form_and_sweep_agree(self, case, data):

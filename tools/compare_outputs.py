@@ -24,12 +24,14 @@ numbers and exit codes are compared as well.  Then ``analyze -`` and
 ``export-dot trace -`` run on each of the VALID_DIMACS texts, which
 ``parse_dimacs`` accepts although they are not in the form that
 ``write_dimacs`` writes, then the PROVE_COMMANDS, so that every command
-that writes a JSON report is compared, then ``analyze -`` and
+that writes a JSON report is compared, then the GROWTH_ENCODE_COMMANDS, so that
+``growth`` failures, CSV output and a ``--disjoint`` family, and an
+``encode`` warning and clause limit, are compared, then ``analyze -`` and
 ``growth`` on formulas past the counting cap (see ``_past_cap_corpus``),
 and last ``analyze -`` and ``export-dot trace -``, under both heuristics,
 on random 3-SAT formulas whose search trees mostly span several chunks
 of DOT node lines, and on formulas of clause widths 1, 2, 3 and 5 with
-trees of thousands of nodes (see ``_large_tree_corpus``): 2521 commands in
+trees of thousands of nodes (see ``_large_tree_corpus``): 2529 commands in
 all at seeds 7 and 3.
 Each checkout then runs all of them in-process through its own
 ``cdfsat.cli.main``, in one subprocess per checkout, with stdin, stdout
@@ -129,6 +131,27 @@ PROVE_COMMANDS = (
     (("prove", "\u00e9t\u00e9 | ~\u00e9t\u00e9 & x_1", "--quiet"), None),
     (("prove", " | ".join(f"A{i}" for i in range(9)), "--quiet"), None),
     (("prove", " | ".join(f"A{i}" for i in range(21)), "--quiet"), None),
+)
+# growth and encode argv and stdin, with the exit code each had when listed;
+# a None stdin is the stdout of the command before it
+GROWTH_ENCODE_COMMANDS = (
+    # n = 30, 40 and 50 are past the counting cap, so one sample is left
+    # and too few to fit: 2
+    (("growth", "--k", "3", "--density", "2", "--n", "20,30,40,50"), ""),
+    # n = 7 is unsatisfiable, and the three other samples still fit: 2,
+    # with the fit
+    (("growth", "--k", "3", "--density", "4", "--n", "4,5,6,7"), ""),
+    # disjoint clauses count by the closed form past the cap: 0
+    (("growth", "--k", "3", "--density", "1/3", "--n", "30,120,600", "--disjoint"), ""),
+    (("growth", "--k", "2", "--n", "4,5,6", "--format", "csv"), ""),
+    # no 4 distinct variables out of 3: 1
+    (("growth", "--k", "4", "--n", "3,4,5"), ""),
+    # an isolated vertex: a warning in the DIMACS and on stderr, 0
+    (("encode", "matching", "-"), "v 3\n0 1\n"),
+    (("analyze", "-"), None),
+    # the complete graph on 47 vertices: 101708 clauses past the limit, 1
+    (("encode", "hamiltonian", "-"),
+     "v 47\n" + "".join(f"{u} {v}\n" for u in range(47) for v in range(u + 1, 47))),
 )
 
 
@@ -378,6 +401,15 @@ def main(argv: list[str] | None = None) -> int:
                                   for label, text in VALID_DIMACS]))
     runs.append(("prove", [workloads.Command(" ".join(argv), argv, None, stdin=text)
                            for argv, text in PROVE_COMMANDS]))
+    growth_encode = []
+    for argv, text in GROWTH_ENCODE_COMMANDS:
+        label = " ".join(argv)
+        if text is None:
+            growth_encode.append(workloads.Command(f"{growth_encode[-1].label} | {label}",
+                                                   argv, None, pipe_from=len(growth_encode) - 1))
+        else:
+            growth_encode.append(workloads.Command(label, argv, None, stdin=text))
+    runs.append(("growth and encode", growth_encode))
     runs.append(("past the cap", _past_cap_corpus(workloads)))
     runs.append(("large trees", _with_twins(_large_tree_corpus(workloads))))
     payload = json.dumps([[[list(c.argv), c.stdin, c.pipe_from] for c in commands]
