@@ -121,10 +121,13 @@ class TestCnfFormula:
         with pytest.raises(ValueError, match="^clause 2 uses variable 5 but variable_count is 3$"):
             CnfFormula(((1, 2), (-3, -5, 4), (7,)), 3)
 
-    @pytest.mark.parametrize("lits", [(1, 0), (2, -1, -2), (), (True, -2), (1, -2.0)],
-                             ids=["zero", "tautology", "empty", "bool", "float"])
-    @pytest.mark.parametrize("kind", [tuple, list])
-    def test_raw_clause_rejected_with_clause_error(self, lits, kind):
+    @pytest.mark.parametrize("kind, lits", [
+        pytest.param(kind, lits, id=prefix + name)
+        for kind, prefix in ((tuple, ""), (list, "list-"))
+        for name, lits in (("zero", (1, 0)), ("tautology", (2, -1, -2)), ("empty", ()),
+                           ("bool", (True, -2)), ("float", (1, -2.0)))
+    ])
+    def test_raw_clause_rejected_with_clause_error(self, kind, lits):
         # the bad clause sits between clean ones, as in the clause lists of
         # formula()
         with pytest.raises(ValueError) as want:
