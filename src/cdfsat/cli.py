@@ -622,6 +622,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heuristic", choices=HEURISTICS, default="lowest-index")
     p.set_defaults(func=_cmd_export_dot)
 
+    # the subcommand parsers by name, for main to parse with one of them alone
+    parser._subcommands = sub.choices
     return parser
 
 
@@ -634,7 +636,19 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _shared_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # The parser of the subcommand that argv[0] names parses the rest alone,
+    # as it would inside argparse's two-level parse.  With no subcommand
+    # named first, or arguments the subcommand does not know, the top-level
+    # parser parses the whole line, for its usage, help, version and
+    # "unrecognized arguments" error.
+    command = parser._subcommands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if command is None or extras:
+        args = parser.parse_args(argv)
+    # growth raises its own usage errors through the top-level parser
     args.parser = parser
     try:
         return args.func(args)

@@ -59,7 +59,9 @@ class Clause(tuple):
     def __new__(cls, literals: Iterable[int]) -> Clause:
         seen: dict[int, None] = {}  # insertion-ordered, so first occurrences
         for lit in literals:
-            if not isinstance(lit, int) or isinstance(lit, bool) or lit == 0:
+            # a plain int, by far the common case, skips the isinstance pair
+            if (type(lit) is not int and (not isinstance(lit, int) or isinstance(lit, bool))
+                    or lit == 0):
                 raise ValueError(f"literal must be a nonzero int, got {lit!r}")
             if -lit in seen:
                 raise TautologicalClauseError(

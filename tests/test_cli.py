@@ -494,7 +494,7 @@ class TestGrowth:
         )
         assert proc.returncode == 1
         assert proc.stdout == ""
-        assert proc.stderr.startswith("usage: cdfsat")
+        assert proc.stderr.startswith("usage: cdfsat [-h] [--version]")
         assert "more than 100000 clauses at n=6" in proc.stderr
 
     def test_size_past_limit_exits_1(self):
@@ -507,7 +507,7 @@ class TestGrowth:
         )
         assert proc.returncode == 1
         assert proc.stdout == ""
-        assert proc.stderr.startswith("usage: cdfsat")
+        assert proc.stderr.startswith("usage: cdfsat [-h] [--version]")
         assert "error: --n sizes must be <= 14000" in proc.stderr
         assert "Exceeds the limit" not in proc.stderr
 
@@ -531,7 +531,7 @@ class TestGrowth:
         )
         assert proc.returncode == 1
         assert proc.stdout == ""
-        assert proc.stderr.startswith("usage: cdfsat")
+        assert proc.stderr.startswith("usage: cdfsat growth ")
         assert "error: argument --density: " in proc.stderr
         assert "Exceeds the limit" not in proc.stderr
 
@@ -948,7 +948,64 @@ class TestJsonText:
             cli._json_text(value)
 
 
+# argv for main, and the two-level parse it must match byte for byte; F is a
+# DIMACS file and G an edge list
+DISPATCH_ARGV = {
+    "no arguments": [],
+    "unknown command": ["frobnicate"],
+    "version": ["--version"],
+    "help": ["-h"],
+    "analyze, no input": ["analyze"],
+    "analyze help": ["analyze", "-h"],
+    "analyze, unknown option": ["analyze", "F", "--bogus"],
+    "analyze, extra argument": ["analyze", "F", "extra"],
+    "analyze, top-level option after the command": ["analyze", "F", "--version"],
+    "analyze, bad --cap": ["analyze", "--cap", "x", "F"],
+    "analyze, abbreviated --quiet": ["analyze", "--qui", "F"],
+    "export-dot, bad kind": ["export-dot", "nope", "-"],
+    "export-dot, bad heuristic": ["export-dot", "trace", "F", "--heuristic", "bad"],
+    "growth, two sizes": ["growth", "--k", "3", "--n", "1,2"],
+    "growth, density 1/0": ["growth", "--k", "3", "--n", "4,5,6", "--density", "1/0"],
+    "analyze": ["analyze", "F"],
+    "growth": ["growth", "--k", "2", "--n", "4,5,6"],
+    "encode": ["encode", "matching", "G"],
+    "euler": ["euler", "G"],
+    "prove": ["prove", "A -> (B -> A)"],
+    "export-dot": ["export-dot", "implication-graph", "F"],
+}
+
+
+def _two_level_main(argv):
+    """``main`` as it was when the top-level parser parsed every line."""
+    parser = cli.build_parser()
+    args = parser.parse_args(argv)
+    args.parser = parser
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"cdfsat: error: {exc}", file=sys.stderr)
+        return 1
+
+
 class TestUsage:
+    @pytest.mark.parametrize("argv", DISPATCH_ARGV.values(), ids=DISPATCH_ARGV.keys())
+    def test_dispatch_matches_two_level_parse(self, argv, chain_file, tmp_path, capsys,
+                                              monkeypatch):
+        monkeypatch.delenv("CDFSAT_CAP", raising=False)
+        monkeypatch.delenv("CDFSAT_THETA", raising=False)
+        monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap to the terminal
+        graph = tmp_path / "edge.txt"
+        graph.write_text("v 2\n0 1\n")
+        argv = [{"F": chain_file, "G": str(graph)}.get(a, a) for a in argv]
+        outputs = []
+        for run in (cli.main, _two_level_main):
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = exc.code
+            outputs.append((code, *capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+
     def test_no_command_exits_1(self):
         assert run_cli().returncode == 1
 

@@ -26,12 +26,14 @@ numbers and exit codes are compared as well.  Then ``analyze -`` and
 ``write_dimacs`` writes, then the PROVE_COMMANDS, so that every command
 that writes a JSON report is compared, then the GROWTH_ENCODE_COMMANDS, so that
 ``growth`` failures, CSV output and a ``--disjoint`` family, and an
-``encode`` warning and clause limit, are compared, then ``analyze -`` and
+``encode`` warning and clause limit, are compared, then the USAGE_COMMANDS,
+so that usage errors, help and version text, and the choice between the
+top-level parser and a subcommand's, are compared, then ``analyze -`` and
 ``growth`` on formulas past the counting cap (see ``_past_cap_corpus``),
 and last ``analyze -`` and ``export-dot trace -``, under both heuristics,
 on random 3-SAT formulas whose search trees mostly span several chunks
 of DOT node lines, and on formulas of clause widths 1, 2, 3 and 5 with
-trees of thousands of nodes (see ``_large_tree_corpus``): 2529 commands in
+trees of thousands of nodes (see ``_large_tree_corpus``): 2550 commands in
 all at seeds 7 and 3.
 Each checkout then runs all of them in-process through its own
 ``cdfsat.cli.main``, in one subprocess per checkout, with stdin, stdout
@@ -152,6 +154,36 @@ GROWTH_ENCODE_COMMANDS = (
     # the complete graph on 47 vertices: 101708 clauses past the limit, 1
     (("encode", "hamiltonian", "-"),
      "v 47\n" + "".join(f"{u} {v}\n" for u in range(47) for v in range(u + 1, 47))),
+)
+
+# argv and stdin for main's choice of parser: the usage errors, help and
+# version text of the top-level parser and of a subcommand's (among them
+# arguments a subcommand does not know, which the top-level parser reports),
+# then one valid command per subcommand
+_USAGE_CNF = "p cnf 3 2\n-1 2 0\n-2 3 0\n"
+_USAGE_GRAPH = "v 3\n0 1\n1 2\n"
+USAGE_COMMANDS = (
+    ((), ""),
+    (("frobnicate",), ""),
+    (("--version",), ""),
+    (("-h",), ""),
+    (("analyze",), ""),
+    (("analyze", "-h"), ""),
+    (("analyze", "-", "--bogus"), _USAGE_CNF),
+    (("analyze", "-", "extra"), _USAGE_CNF),
+    (("analyze", "-", "--version"), _USAGE_CNF),
+    (("analyze", "--cap", "x", "-"), _USAGE_CNF),
+    (("analyze", "--qui", "-"), _USAGE_CNF),
+    (("export-dot", "nope", "-"), _USAGE_CNF),
+    (("export-dot", "trace", "-", "--heuristic", "bad"), _USAGE_CNF),
+    (("growth", "--k", "3", "--n", "1,2"), ""),
+    (("growth", "--k", "3", "--n", "4,5,6", "--density", "1/0"), ""),
+    (("analyze", "-"), _USAGE_CNF),
+    (("growth", "--k", "2", "--n", "4,5,6"), ""),
+    (("encode", "matching", "-"), _USAGE_GRAPH),
+    (("euler", "-"), _USAGE_GRAPH),
+    (("prove", "A -> (B -> A)"), ""),
+    (("export-dot", "implication-graph", "-"), _USAGE_CNF),
 )
 
 
@@ -410,6 +442,8 @@ def main(argv: list[str] | None = None) -> int:
         else:
             growth_encode.append(workloads.Command(label, argv, None, stdin=text))
     runs.append(("growth and encode", growth_encode))
+    runs.append(("usage", [workloads.Command(" ".join(("cdfsat",) + argv), argv, None, stdin=text)
+                           for argv, text in USAGE_COMMANDS]))
     runs.append(("past the cap", _past_cap_corpus(workloads)))
     runs.append(("large trees", _with_twins(_large_tree_corpus(workloads))))
     payload = json.dumps([[[list(c.argv), c.stdin, c.pipe_from] for c in commands]
