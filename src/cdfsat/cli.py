@@ -13,9 +13,9 @@ the root satisfies, before any decision, counts 2 to the number of free
 variables, at any size.  ``growth`` gives 2 when a size lands in
 ``failedN``, or when fewer than three sizes are measured.
 
-Configuration precedence is flag over environment over default; the
-environment knobs are CDFSAT_CAP (enumeration cap) and CDFSAT_THETA
-(classification threshold).
+The command line alone configures a run: every setting is a flag with a
+fixed default, and no environment variable is read, so the same argv and
+input give the same output in any shell.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import re
 import sys
 import warnings
@@ -33,7 +32,7 @@ from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import is_
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import __version__
 from .analysis import DEFAULT_THETA, classify, measure_growth
@@ -68,9 +67,6 @@ from .semantics import (
     log2_count,
 )
 
-ENV_CAP = "CDFSAT_CAP"
-ENV_THETA = "CDFSAT_THETA"
-
 # the most clauses of any clause list the CLI builds: the floor(density * n)
 # that `growth` draws at the largest n (past it, a usage error) and the
 # clauses of an `encode` encoding (past it, an input error)
@@ -93,23 +89,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: D401 (argparse override)
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _env_value(name: str, convert: Callable, what: str):
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        return convert(raw)
-    except ValueError:
-        raise ValueError(f"environment variable {name} must be {what}, got {raw!r}") from None
-
-
-def _resolve_cap(flag: int | None) -> int:
-    cap = flag if flag is not None else _env_value(ENV_CAP, int, "an integer")
-    # checked up front, so a bad cap is a usage error (exit 1) even in
-    # growth, which reports a ValueError from measure_growth as exit 2
-    return check_enumeration_cap(ENUMERATION_CAP if cap is None else cap)
 
 
 def _density(text: str) -> Fraction:
@@ -139,11 +118,6 @@ def _density(text: str) -> Fraction:
             f"{text!r} has more than {sys.get_int_max_str_digits()} digits above or below the line"
         ) from None
     return value
-
-
-def _resolve_theta(flag: float | None) -> float:
-    theta = flag if flag is not None else _env_value(ENV_THETA, float, "a number")
-    return DEFAULT_THETA if theta is None else theta
 
 
 def _read_text(path: str) -> str:
@@ -273,19 +247,19 @@ def _search_count(result: SolveResult, trace: DerivationTrace) -> int | None:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    cap = _resolve_cap(args.cap)
-    theta = _resolve_theta(args.theta)
+    # checked up front, so a bad cap is a usage error (exit 1) before the
+    # input is read
+    check_enumeration_cap(args.cap)
     f = _read_formula(args.input)
 
-    classification = classify(f, growth=None, theta=theta)
+    classification = classify(f, growth=None, theta=args.theta)
     result, trace = dpll_solve(f, heuristic=args.heuristic, record="counts")
 
     try:
-        image = formula_image(f, enumeration_cap=cap, materialization_cap=0)
-        count, representation = image.count, image.representation
+        count = formula_image(f, enumeration_cap=args.cap, materialization_cap=0).count
     except IntractableError as exc:
         # past the cap, the search that already ran may still settle the count
-        count, representation = _search_count(result, trace), COUNT_ONLY
+        count = _search_count(result, trace)
         if count is None:
             semantics: dict = {
                 "intractable": True,
@@ -300,7 +274,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             "imageCount": count,
             # an empty image has no logarithm, and JSON has no -Infinity
             "log2Count": log2_count(count) if count else None,
-            "representation": representation,
+            "representation": COUNT_ONLY,
         }
 
     logic: dict = {"dpll": trace.to_json_dict()}
@@ -323,7 +297,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "provenance": _provenance(
             args.input,
             None,
-            {"enumerationCap": cap, "theta": theta, "heuristic": args.heuristic},
+            {"enumerationCap": args.cap, "theta": args.theta, "heuristic": args.heuristic},
         ),
     }
     _emit_json(report)
@@ -370,7 +344,9 @@ class _DrawError(ValueError):
 
 
 def _cmd_growth(args: argparse.Namespace) -> int:
-    cap = _resolve_cap(args.cap)
+    # checked up front, so a bad cap is a usage error (exit 1), not the
+    # exit 2 that a ValueError from measure_growth gives
+    check_enumeration_cap(args.cap)
     ns = _parse_n_list(args.n, args.parser)
     density: Fraction = args.density
     if density <= 0:
@@ -390,7 +366,7 @@ def _cmd_growth(args: argparse.Namespace) -> int:
             raise _DrawError(str(exc)) from None
 
     try:
-        fit = measure_growth(family, ns, enumeration_cap=cap)
+        fit = measure_growth(family, ns, enumeration_cap=args.cap)
     except _DrawError:
         raise  # a usage error (exit 1), not a partial result
     except ValueError as exc:
@@ -411,7 +387,7 @@ def _cmd_growth(args: argparse.Namespace) -> int:
                         "density": str(density),
                         "nValues": ns,
                         "disjoint": args.disjoint,
-                        "enumerationCap": cap,
+                        "enumerationCap": args.cap,
                     },
                 ),
             }
@@ -472,7 +448,6 @@ def _cmd_euler(args: argparse.Namespace) -> int:
 def _cmd_prove(args: argparse.Namespace) -> int:
     # imported here, so that no other subcommand compiles or runs proofs
     from .proofs import (
-        TRUTH_TABLE_ATOM_CAP,
         atoms,
         check_derivation,
         eval_truth_table,
@@ -514,17 +489,16 @@ def _cmd_prove(args: argparse.Namespace) -> int:
         "provenance": _provenance(None, None, {"derivation": args.derivation}),
     }
 
-    if len(names) > TRUTH_TABLE_ATOM_CAP:
+    try:
+        table = eval_truth_table(goal)
+    except ValueError as exc:  # more atoms than the truth-table cap
         report["tautology"] = None
         report["truthTable"] = None
-        report["error"] = (
-            f"{len(names)} atoms exceeds the truth-table cap of {TRUTH_TABLE_ATOM_CAP}"
-        )
+        report["error"] = str(exc)
         _emit_json(report)
-        print(f"cdfsat: error: {report['error']}", file=sys.stderr)
+        print(f"cdfsat: error: {exc}", file=sys.stderr)
         return 2
 
-    table = eval_truth_table(goal)
     report["tautology"] = table.is_tautology
     report["truthTable"] = table.to_json_dict(include_rows=len(names) <= 8)
     _emit_json(report)
@@ -573,9 +547,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full report for one DIMACS CNF file")
     p.add_argument("input", help="DIMACS CNF path, or - for stdin")
-    p.add_argument("--cap", type=int, default=None,
+    p.add_argument("--cap", type=int, default=ENUMERATION_CAP,
                    help="enumeration cap: most variables of one swept component")
-    p.add_argument("--theta", type=float, default=None, help="classification threshold")
+    p.add_argument("--theta", type=float, default=DEFAULT_THETA,
+                   help="classification threshold")
     p.add_argument("--heuristic", choices=HEURISTICS, default="lowest-index")
     p.add_argument("--quiet", action="store_true", help="suppress the stderr summary")
     p.set_defaults(func=_cmd_analyze)
@@ -595,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="draw clauses over pairwise-disjoint variables",
     )
-    p.add_argument("--cap", type=int, default=None,
+    p.add_argument("--cap", type=int, default=ENUMERATION_CAP,
                    help="enumeration cap: most variables of one swept component")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--quiet", action="store_true", help="suppress the stderr summary")

@@ -46,9 +46,9 @@ from typing import Sequence
 from .formula import Clause, CnfFormula
 
 ENUMERATION_CAP = 26
-# the largest cap that --cap, CDFSAT_CAP and enumeration_cap accept: the
-# sweep takes 2^n steps, so a larger cap could only admit a count that never
-# finishes (the assignment masks are Python ints and set no bound of their own)
+# the largest cap that --cap and enumeration_cap accept: the sweep takes 2^n
+# steps, so a larger cap could only admit a count that never finishes (the
+# assignment masks are Python ints and set no bound of their own)
 MAX_ENUMERATION_CAP = 63
 MATERIALIZATION_CAP = 20
 # the sweep checks the lowest SWEEP_BITS assignment bits in one int per

@@ -25,21 +25,12 @@ CHAIN = "p cnf 3 2\n-1 2 0\n-2 3 0\n"
 WIDE = "p cnf 3 1\n-1 -2 3 0\n"
 
 
-def _cli_env(env_extra=None):
-    env = os.environ.copy()
-    env.pop("CDFSAT_CAP", None)
-    env.pop("CDFSAT_THETA", None)
-    if env_extra:
-        env.update(env_extra)
-    return env
-
-
 def run_cli(*args, env_extra=None, stdin_text=None, **run_options):
     return subprocess.run(
         [sys.executable, "-m", "cdfsat.cli", *args],
         capture_output=True,
         text=True,
-        env=_cli_env(env_extra),
+        env=None if env_extra is None else {**os.environ, **env_extra},
         input=stdin_text,
         **run_options,
     )
@@ -110,14 +101,11 @@ class TestAnalyze:
         assert json.loads(proc.stdout)["provenance"]["input"] == "-"
 
     def test_zero_variable_formula(self, capsys, monkeypatch):
-        # n = 0 fits the materialization cap of 0 that analyze passes, so
-        # this is the one analyze report that is not count-only
-        monkeypatch.delenv("CDFSAT_CAP", raising=False)
         text = "p cnf 0 0\n"
         code, report = _analyze_in_process(text)
         assert code == 0
         assert report["semantics"] == {"intractable": False, "imageCount": 1,
-                                       "log2Count": 0.0, "representation": "enumerated"}
+                                       "log2Count": 0.0, "representation": "count-only"}
         dpll = report["logic"]["dpll"]
         assert (dpll["result"], dpll["model"], dpll["nodeCount"], dpll["depth"]) == (
             "SAT", [], 1, 0)
@@ -189,11 +177,10 @@ class TestAnalyze:
                 "cdfsat: warning: header declares 5 clauses, found 1\n"
             )
 
-    def test_narrow_unsat_search_stops_at_autarky(self, tmp_path, capsys, monkeypatch):
+    def test_narrow_unsat_search_stops_at_autarky(self, tmp_path, capsys):
         # 8 free clauses (x_i | y_i), then an UNSAT core on a, b, c: DPLL
         # refuted the core under each of the 2^8 settings of x (1790 nodes,
         # 511 backtracks) before it stopped at autarkic levels
-        monkeypatch.delenv("CDFSAT_CAP", raising=False)
         k = 8
         a, b, c = 2 * k + 1, 2 * k + 2, 2 * k + 3
         clause_lists = [[i, k + i] for i in range(1, k + 1)]
@@ -309,8 +296,7 @@ class TestCountFromSearch:
                          id="refuted within the cap"),
         ],
     )
-    def test_semantics_section(self, f, count, monkeypatch):
-        monkeypatch.delenv("CDFSAT_CAP", raising=False)
+    def test_semantics_section(self, f, count):
         code, report = _analyze_in_process(write_dimacs(f))
         semantics = report["semantics"]
         if count is None:
@@ -327,46 +313,31 @@ class TestCountFromSearch:
 
 
 class TestConfigPrecedence:
-    def test_env_cap_lowers_limit(self, chain_file):
-        proc = run_cli("analyze", chain_file, "--quiet", env_extra={"CDFSAT_CAP": "2"})
-        assert proc.returncode == 2
-        assert json.loads(proc.stdout)["semantics"]["intractable"] is True
+    def test_environment_is_not_read(self, wide_file, capsys, monkeypatch):
+        # the command line alone configures a run, so environment variables
+        # named for the cap and theta change no byte of the output
+        commands = [["analyze", wide_file], ["growth", "--k", "2", "--n", "4,5,6"]]
+        unset = [(run_main(argv), *capsys.readouterr()) for argv in commands]
+        monkeypatch.setenv("CDFSAT_CAP", "2")
+        monkeypatch.setenv("CDFSAT_THETA", "1.0")
+        assert [(run_main(argv), *capsys.readouterr()) for argv in commands] == unset
+        analyze, growth = (json.loads(out)["provenance"]["config"] for _, out, _ in unset)
+        assert (analyze["enumerationCap"], analyze["theta"]) == (26, 0.5)
+        assert growth["enumerationCap"] == 26
 
-    def test_flag_overrides_env_cap(self, chain_file):
-        proc = run_cli(
-            "analyze", chain_file, "--quiet", "--cap", "3",
-            env_extra={"CDFSAT_CAP": "2"},
-        )
-        assert proc.returncode == 0
-        assert json.loads(proc.stdout)["semantics"]["imageCount"] == 4
-
-    def test_env_theta_shifts_verdict(self, wide_file):
-        proc = run_cli(
-            "analyze", wide_file, "--quiet", env_extra={"CDFSAT_THETA": "1.0"}
-        )
-        assert json.loads(proc.stdout)["classification"]["verdict"] == "SemiExpCDF"
-
-    def test_flag_overrides_env_theta(self, wide_file):
-        proc = run_cli(
-            "analyze", wide_file, "--quiet", "--theta", "0.5",
-            env_extra={"CDFSAT_THETA": "1.0"},
-        )
-        assert json.loads(proc.stdout)["classification"]["verdict"] == "ExpCDF"
-
-    def test_bad_env_value_exits_1(self, chain_file):
-        proc = run_cli("analyze", chain_file, env_extra={"CDFSAT_CAP": "many"})
-        assert proc.returncode == 1
-        assert "CDFSAT_CAP" in proc.stderr
+    def test_theta_shifts_verdict(self):
+        _, report = _analyze_in_process(WIDE, "--theta", "1.0")
+        assert report["classification"]["verdict"] == "SemiExpCDF"
 
     @pytest.mark.parametrize(
-        "cap_args, env",
-        [(("--cap", "70"), None), ((), {"CDFSAT_CAP": "70"})],
-        ids=["flag", "env"],
+        "command",
+        [("analyze", "seventy.cnf"), ("growth", "--k", "2", "--n", "4,5,6")],
+        ids=["flag", "growth flag"],
     )
-    def test_cap_above_mask_width_is_usage_error(self, tmp_path, cap_args, env):
+    def test_cap_above_mask_width_is_usage_error(self, tmp_path, command):
         path = tmp_path / "seventy.cnf"
         path.write_text("p cnf 70 3\n1 70 0\n1 -70 0\n2 3 0\n")
-        proc = run_cli("analyze", str(path), *cap_args, env_extra=env)
+        proc = run_cli(*command, "--cap", "70", cwd=tmp_path)
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.startswith("cdfsat: error: enumeration cap must be <= 63")
@@ -802,7 +773,7 @@ class TestExportDot:
         path.write_text(write_dimacs(generate_random_ksat(120, 511, 3, 120)))
         with subprocess.Popen([sys.executable, "-m", "cdfsat.cli", "export-dot", "trace",
                                str(path)], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                              env=_cli_env(), preexec_fn=_cap_address_space) as proc:
+                              preexec_fn=_cap_address_space) as proc:
             size = lines = 0
             head = piece = proc.stdout.read(1 << 16)
             tail = b""
@@ -991,8 +962,6 @@ class TestUsage:
     @pytest.mark.parametrize("argv", DISPATCH_ARGV.values(), ids=DISPATCH_ARGV.keys())
     def test_dispatch_matches_two_level_parse(self, argv, chain_file, tmp_path, capsys,
                                               monkeypatch):
-        monkeypatch.delenv("CDFSAT_CAP", raising=False)
-        monkeypatch.delenv("CDFSAT_THETA", raising=False)
         monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap to the terminal
         graph = tmp_path / "edge.txt"
         graph.write_text("v 2\n0 1\n")
@@ -1022,8 +991,6 @@ class TestUsage:
     ):
         # main reuses one parser for the whole process; a usage error or a
         # report must leave nothing on it that changes a later call
-        monkeypatch.delenv("CDFSAT_CAP", raising=False)
-        monkeypatch.delenv("CDFSAT_THETA", raising=False)
         monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap to the terminal
         usage_error = ["analyze"]  # no input file
         sequence = [usage_error, ["analyze", chain_file], usage_error, ["--version"]]

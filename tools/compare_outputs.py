@@ -27,13 +27,14 @@ numbers and exit codes are compared as well.  Then ``analyze -`` and
 that writes a JSON report is compared, then the GROWTH_ENCODE_COMMANDS, so that
 ``growth`` failures, CSV output and a ``--disjoint`` family, and an
 ``encode`` warning and clause limit, are compared, then the USAGE_COMMANDS,
-so that usage errors, help and version text, and the choice between the
-top-level parser and a subcommand's, are compared, then ``analyze -`` and
+so that usage errors, help and version text, the choice between the
+top-level parser and a subcommand's, and ``--cap`` and ``--theta`` in and
+out of range are compared, then ``analyze -`` and
 ``growth`` on formulas past the counting cap (see ``_past_cap_corpus``),
 and last ``analyze -`` and ``export-dot trace -``, under both heuristics,
 on random 3-SAT formulas whose search trees mostly span several chunks
 of DOT node lines, and on formulas of clause widths 1, 2, 3 and 5 with
-trees of thousands of nodes (see ``_large_tree_corpus``): 2550 commands in
+trees of thousands of nodes (see ``_large_tree_corpus``): 2557 commands in
 all at seeds 7 and 3.
 Each checkout then runs all of them in-process through its own
 ``cdfsat.cli.main``, in one subprocess per checkout, with stdin, stdout
@@ -159,8 +160,10 @@ GROWTH_ENCODE_COMMANDS = (
 # argv and stdin for main's choice of parser: the usage errors, help and
 # version text of the top-level parser and of a subcommand's (among them
 # arguments a subcommand does not know, which the top-level parser reports),
-# then one valid command per subcommand
+# then one valid command per subcommand, then --cap and --theta in and out
+# of range, so that both flags are compared and not only their defaults
 _USAGE_CNF = "p cnf 3 2\n-1 2 0\n-2 3 0\n"
+_USAGE_WIDE = "p cnf 3 1\n-1 -2 3 0\n"
 _USAGE_GRAPH = "v 3\n0 1\n1 2\n"
 USAGE_COMMANDS = (
     ((), ""),
@@ -184,6 +187,17 @@ USAGE_COMMANDS = (
     (("euler", "-"), _USAGE_GRAPH),
     (("prove", "A -> (B -> A)"), ""),
     (("export-dot", "implication-graph", "-"), _USAGE_CNF),
+    # the chain is one 3-variable component, past a cap of 2: 2
+    (("analyze", "-", "--cap", "2"), _USAGE_CNF),
+    (("analyze", "-", "--cap", "63"), _USAGE_CNF),
+    # out of range: 1
+    (("analyze", "-", "--cap", "70"), _USAGE_CNF),
+    (("analyze", "-", "--cap", "-1"), _USAGE_CNF),
+    (("analyze", "-", "--theta", "2"), _USAGE_CNF),
+    # theta 1.0 turns the wide clause's ExpCDF into SemiExpCDF
+    (("analyze", "-", "--theta", "1.0"), _USAGE_WIDE),
+    # n = 5 and 6 are past a cap of 4: 2
+    (("growth", "--k", "3", "--n", "4,5,6", "--cap", "4"), ""),
 )
 
 
